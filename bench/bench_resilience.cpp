@@ -217,7 +217,7 @@ void BM_DedupLookupStore(benchmark::State& state) {
   for (auto _ : state) {
     std::string id = "h2c-" + std::to_string(n++ % 2048);
     if (!cache.lookup(id).has_value()) {
-      cache.store(id, ByteBuffer(std::vector<std::uint8_t>{1, 2, 3, 4}));
+      cache.store(id, std::vector<std::uint8_t>{1, 2, 3, 4});
     }
   }
 }

@@ -23,7 +23,7 @@ void XdrWriter::put_string(std::string_view s) {
 
 void XdrWriter::put_f64_array(std::span<const double> values) {
   put_u32(static_cast<std::uint32_t>(values.size()));
-  for (double v : values) put_f64(v);
+  buffer_.write_f64s_be(values);
 }
 
 void XdrWriter::put_f32_array(std::span<const float> values) {
@@ -52,10 +52,10 @@ Result<std::int32_t> XdrReader::get_i32() {
 
 Result<std::uint32_t> XdrReader::get_u32() {
   if (auto s = ensure(4); !s.ok()) return s.error();
-  const std::uint8_t* p = cursor();
+  std::uint32_t v;
+  std::memcpy(&v, cursor(), sizeof(v));
   pos_ += 4;
-  return (std::uint32_t{p[0]} << 24) | (std::uint32_t{p[1]} << 16) |
-         (std::uint32_t{p[2]} << 8) | std::uint32_t{p[3]};
+  return big_endian(v);
 }
 
 Result<std::int64_t> XdrReader::get_i64() {
@@ -66,11 +66,10 @@ Result<std::int64_t> XdrReader::get_i64() {
 
 Result<std::uint64_t> XdrReader::get_u64() {
   if (auto s = ensure(8); !s.ok()) return s.error();
-  const std::uint8_t* p = cursor();
+  std::uint64_t v;
+  std::memcpy(&v, cursor(), sizeof(v));
   pos_ += 8;
-  std::uint64_t out = 0;
-  for (int i = 0; i < 8; ++i) out = (out << 8) | p[i];
-  return out;
+  return big_endian(v);
 }
 
 Result<bool> XdrReader::get_bool() {
@@ -143,12 +142,13 @@ Result<std::vector<double>> XdrReader::get_f64_array() {
     return err::parse("xdr: f64 array length " + std::to_string(*len) +
                       " exceeds remaining bytes");
   }
-  std::vector<double> out;
-  out.reserve(*len);
-  for (std::uint32_t i = 0; i < *len; ++i) {
-    auto v = get_f64();
-    if (!v.ok()) return v.error();
-    out.push_back(*v);
+  // One bounds check above covers the whole array; decode in one pass.
+  std::vector<double> out(*len);
+  for (double& v : out) {
+    std::uint64_t wire;
+    std::memcpy(&wire, cursor(), sizeof(wire));
+    pos_ += sizeof(wire);
+    v = std::bit_cast<double>(big_endian(wire));
   }
   return out;
 }

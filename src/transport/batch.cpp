@@ -71,6 +71,7 @@ Result<Value> BatchChannel::take(Ticket ticket) {
       break;
     }
   }
+  // In-order redemption hits the front, where deque::erase is O(1).
   for (auto it = completed_.begin(); it != completed_.end(); ++it) {
     if (it->serial == ticket.serial) {
       Result<Value> result = std::move(it->result);

@@ -12,6 +12,7 @@
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <memory>
 #include <vector>
 
@@ -84,7 +85,9 @@ class BatchChannel final : public Channel {
   std::vector<BatchItem> pending_;
   std::vector<std::uint64_t> pending_serials_;
   Nanos oldest_pending_ = 0;
-  std::vector<Completed> completed_;
+  /// Flush order; callers usually redeem tickets in that order, and
+  /// erasing the front of a deque is O(1), so an in-order drain is linear.
+  std::deque<Completed> completed_;
   std::uint64_t flushes_ = 0;
 };
 

@@ -154,6 +154,12 @@ Result<UnmarshaledCall> unmarshal_call(std::span<const std::uint8_t> bytes) {
   out.operation = std::move(*op);
   auto count = reader.get_u32();
   if (!count.ok()) return count.error();
+  // Every value takes at least 8 bytes (name length + kind tag): refuse a
+  // hostile count before reserving for it.
+  if (*count > reader.remaining() / 8) {
+    return err::parse("xdr frame: param count " + std::to_string(*count) +
+                      " exceeds the frame");
+  }
   out.params.reserve(*count);
   for (std::uint32_t i = 0; i < *count; ++i) {
     auto v = unmarshal_value(reader);

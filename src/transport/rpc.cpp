@@ -39,19 +39,23 @@ void fill_results(std::vector<Result<Value>>& results, std::size_t count,
 
 /// Appends one length-prefixed sub-reply directly into the batch frame:
 /// u32 placeholder, marshal in place, backpatch — no staging buffer.
-void append_sub_reply(enc::XdrWriter& out, const Result<Value>& outcome) {
+/// Returns a view of the sub-reply frame, valid until `out` grows.
+std::span<const std::uint8_t> append_sub_reply(enc::XdrWriter& out,
+                                               const Result<Value>& outcome) {
   const std::size_t length_at = out.size();
   out.put_u32(0);
   const std::size_t start = out.size();
   marshal_reply_into(out, outcome);
   out.buffer().patch_u32_be(length_at, static_cast<std::uint32_t>(out.size() - start));
+  return out.buffer().bytes().subspan(start);
 }
 
 /// Server half of XDR batching, shared by serve_xdr and the raw HTTP
 /// mount: splits the "H2RB" frame, runs sub-calls in order, and streams
 /// an "H2RZ" frame of sub-replies. Sub-calls carrying an idempotency key
 /// go through `dedup` exactly like singleton calls — the cached unit is
-/// the singleton "H2RP" frame, so replays splice straight into the batch.
+/// the singleton "H2RP" frame, so replays splice straight into the batch
+/// and fresh sub-replies are cached from their place in the batch frame.
 ByteBuffer serve_batch_frame(std::span<const std::uint8_t> raw,
                              Dispatcher& dispatcher, resil::DedupCache* dedup,
                              ByteBuffer scratch) {
@@ -71,18 +75,14 @@ ByteBuffer serve_batch_frame(std::span<const std::uint8_t> raw,
       append_sub_reply(out, call.error().context("xdr server"));
       continue;
     }
-    if (dedup != nullptr && !call->call_id.empty()) {
-      if (auto cached = dedup->lookup(call->call_id)) {
-        out.put_opaque(cached->bytes());
-        continue;
-      }
-      ByteBuffer reply =
-          marshal_reply(dispatcher.dispatch(call->operation, call->params));
-      out.put_opaque(reply.bytes());
-      dedup->store(call->call_id, std::move(reply));
+    const bool keyed = dedup != nullptr && !call->call_id.empty();
+    if (keyed && dedup->replay(call->call_id, [&](std::span<const std::uint8_t> cached) {
+          out.put_opaque(cached);
+        })) {
       continue;
     }
-    append_sub_reply(out, dispatcher.dispatch(call->operation, call->params));
+    auto reply = append_sub_reply(out, dispatcher.dispatch(call->operation, call->params));
+    if (keyed) dedup->store(call->call_id, reply);
   }
   return out.take();
 }
@@ -568,7 +568,7 @@ Result<ServerHandle> serve_xdr(Transport& net, HostId host, std::uint16_t port,
             marshal_reply(dispatcher->dispatch(call->operation, call->params));
         // Cache faults too: the dispatcher ran, and a duplicate must see
         // the same outcome rather than a second execution.
-        if (dedup && !call->call_id.empty()) dedup->store(call->call_id, reply);
+        if (dedup && !call->call_id.empty()) dedup->store(call->call_id, reply.bytes());
         return reply;
       });
   if (!status.ok()) return status.error();
@@ -744,7 +744,9 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     response.headers.set("Content-Type", "application/octet-stream");
     response.body = reply.to_string();
     ByteBuffer wire = response.serialize();
-    if (call.ok() && dedup && !call->call_id.empty()) dedup->store(call->call_id, wire);
+    if (call.ok() && dedup && !call->call_id.empty()) {
+      dedup->store(call->call_id, wire.bytes());
+    }
     return wire;
   }
 
@@ -811,14 +813,14 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     }
     // Cache success and dispatch faults alike — the handler executed either
     // way, and a duplicate must observe the same outcome.
-    if (dedup && !call_id.empty()) dedup->store(call_id, wire);
+    if (dedup && !call_id.empty()) dedup->store(call_id, wire.bytes());
     return wire;
   }
 
   // Batch path: sub-calls execute in order, each result (or fault) is one
   // Body element of a single 200 response. Dedup works per sub-call: the
-  // cached unit is the response/fault XML FRAGMENT, spliced back into
-  // whatever batch a replayed id arrives in.
+  // cached unit is the response/fault XML FRAGMENT, written straight into
+  // the body and spliced back into whatever batch a replayed id arrives in.
   std::size_t declared = 0;
   for (char c : batch_count) {
     if (c < '0' || c > '9') return fault(400, "Client", "soap: bad BatchCount header");
@@ -847,15 +849,14 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
   soap::EnvelopeWriter writer(response.body);
   writer.envelope_open();
   writer.body_open();
-  std::string fragment;
   for (std::size_t i = 0; i < call->calls.size(); ++i) {
     const soap::BatchRpcCall::Call& sub = call->calls[i];
     const std::string_view id = ids.empty() ? std::string_view{} : ids[i];
-    if (dedup && !id.empty()) {
-      if (auto cached = dedup->lookup(id)) {
-        response.body.append(cached->as_string_view());
-        continue;
-      }
+    const bool keyed = dedup && !id.empty();
+    if (keyed && dedup->replay(id, [&](std::span<const std::uint8_t> cached) {
+          response.body.append(reinterpret_cast<const char*>(cached.data()), cached.size());
+        })) {
+      continue;
     }
     obs::Span span;
     if (net_.tracer().enabled()) {
@@ -865,18 +866,17 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     auto result = dispatcher->dispatch(sub.operation, sub.params);
     span.set_ok(result.ok());
     span.finish();
-    fragment.clear();
-    soap::EnvelopeWriter sub_writer(fragment);
+    const std::size_t fragment_at = response.body.size();
     if (!result.ok()) {
-      sub_writer.fault({fault_code_for(result.error().code()),
-                        result.error().message(), ""});
+      writer.fault({fault_code_for(result.error().code()), result.error().message(), ""});
     } else {
-      sub_writer.call_open(sub.operation, call->service_ns, /*response=*/true);
-      sub_writer.param(*result, "return");
-      sub_writer.call_close(sub.operation, /*response=*/true);
+      writer.call_open(sub.operation, call->service_ns, /*response=*/true);
+      writer.param(*result, "return");
+      writer.call_close(sub.operation, /*response=*/true);
     }
-    response.body += fragment;
-    if (dedup && !id.empty()) dedup->store(id, ByteBuffer(fragment));
+    if (keyed) {
+      dedup->store(id, as_byte_span(std::string_view(response.body).substr(fragment_at)));
+    }
   }
   writer.body_close();
   writer.envelope_close();

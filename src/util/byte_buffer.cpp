@@ -8,9 +8,10 @@ namespace {
 
 template <typename T>
 void append_be(std::vector<std::uint8_t>& out, T v) {
-  for (int shift = static_cast<int>(sizeof(T)) * 8 - 8; shift >= 0; shift -= 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xFF));
-  }
+  const T wire = big_endian(v);
+  const std::size_t at = out.size();
+  out.resize(at + sizeof(T));
+  std::memcpy(out.data() + at, &wire, sizeof(T));
 }
 
 template <typename T>
@@ -22,11 +23,9 @@ void append_le(std::vector<std::uint8_t>& out, T v) {
 
 template <typename T>
 T load_be(const std::uint8_t* p) {
-  T v = 0;
-  for (std::size_t i = 0; i < sizeof(T); ++i) {
-    v = static_cast<T>((v << 8) | p[i]);
-  }
-  return v;
+  T v;
+  std::memcpy(&v, p, sizeof(T));
+  return big_endian(v);
 }
 
 template <typename T>
@@ -51,6 +50,16 @@ void ByteBuffer::write_f32_be(float v) {
 }
 void ByteBuffer::write_f64_be(double v) {
   write_u64_be(std::bit_cast<std::uint64_t>(v));
+}
+void ByteBuffer::write_f64s_be(std::span<const double> values) {
+  const std::size_t at = data_.size();
+  data_.resize(at + values.size() * sizeof(double));
+  std::uint8_t* out = data_.data() + at;
+  for (double v : values) {
+    const std::uint64_t wire = big_endian(std::bit_cast<std::uint64_t>(v));
+    std::memcpy(out, &wire, sizeof(wire));
+    out += sizeof(wire);
+  }
 }
 void ByteBuffer::write_f64_le(double v) {
   write_u64_le(std::bit_cast<std::uint64_t>(v));

@@ -5,16 +5,34 @@
 // wire formats are byte-exact rather than memcpy-of-struct approximations.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.hpp"
 
 namespace h2 {
+
+/// Converts an unsigned integer between host and big-endian (network/XDR)
+/// byte order; the conversion is its own inverse.
+template <typename T>
+constexpr T big_endian(T v) {
+  static_assert(std::is_unsigned_v<T> && sizeof(T) <= 8);
+  if constexpr (std::endian::native == std::endian::big || sizeof(T) == 1) {
+    return v;
+  } else if constexpr (sizeof(T) == 2) {
+    return __builtin_bswap16(v);
+  } else if constexpr (sizeof(T) == 4) {
+    return __builtin_bswap32(v);
+  } else {
+    return __builtin_bswap64(v);
+  }
+}
 
 class ByteBuffer {
  public:
@@ -73,10 +91,8 @@ class ByteBuffer {
   /// order (length backpatching for frames whose size is known only after
   /// the payload is written). `offset + 4` must not exceed size().
   void patch_u32_be(std::size_t offset, std::uint32_t v) {
-    data_[offset] = static_cast<std::uint8_t>(v >> 24);
-    data_[offset + 1] = static_cast<std::uint8_t>(v >> 16);
-    data_[offset + 2] = static_cast<std::uint8_t>(v >> 8);
-    data_[offset + 3] = static_cast<std::uint8_t>(v);
+    const std::uint32_t wire = big_endian(v);
+    std::memcpy(data_.data() + offset, &wire, sizeof(wire));
   }
   void write_u64_be(std::uint64_t v);
   void write_u32_le(std::uint32_t v);
@@ -84,6 +100,8 @@ class ByteBuffer {
   /// IEEE-754 bits in big-endian byte order (XDR float/double encoding).
   void write_f32_be(float v);
   void write_f64_be(double v);
+  /// Bulk write_f64_be: one resize, then one byteswap loop over `values`.
+  void write_f64s_be(std::span<const double> values);
   void write_f64_le(double v);
 
   // ---- reading -------------------------------------------------------------

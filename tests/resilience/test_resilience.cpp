@@ -141,8 +141,8 @@ TEST(BreakerTest, PerNetworkRegistryIsSingleton) {
 
 // ---- dedup cache ------------------------------------------------------------
 
-ByteBuffer bytes_of(std::string_view text) {
-  return ByteBuffer(std::vector<std::uint8_t>(text.begin(), text.end()));
+std::vector<std::uint8_t> bytes_of(std::string_view text) {
+  return {text.begin(), text.end()};
 }
 
 TEST(DedupTest, StoreThenLookupHits) {
