@@ -1,6 +1,7 @@
 #include "encoding/codec.hpp"
 
 #include <charconv>
+#include <cstring>
 
 #include "encoding/base64.hpp"
 #include "encoding/xdr.hpp"
@@ -72,18 +73,12 @@ class SoapXmlCodec final : public Codec {
     // Hand-rolled emission (no DOM) — this is the fast path a real SOAP
     // stack would use, so the measured cost is the format's, not a DOM's.
     std::string out;
-    out.reserve(80 + values.size() * 32);
     char buf[32];
     out += "<array xsi:type=\"SOAP-ENC:Array\" SOAP-ENC:arrayType=\"xsd:double[";
     auto [cend, cec] = std::to_chars(buf, buf + sizeof buf, values.size());
     out.append(buf, static_cast<std::size_t>(cend - buf));
     out += "]\">";
-    for (double v : values) {
-      out += "<item>";
-      auto [end, ec] = std::to_chars(buf, buf + sizeof buf, v);
-      out.append(buf, static_cast<std::size_t>(end - buf));
-      out += "</item>";
-    }
+    append_soap_items(out, values);
     out += "</array>";
     return ByteBuffer(out);
   }
@@ -102,21 +97,8 @@ class SoapXmlCodec final : public Codec {
       }
     }
     std::string scratch;
-    while (true) {
-      auto t = p.next();
-      if (!t.ok()) return t.error().context("soap-xml array");
-      if (*t == xml::Token::kEndElement && p.depth() == 0) break;
-      if (*t != xml::Token::kStartElement) continue;
-      if (p.local_name() != "item") {
-        auto skipped = p.skip_element();
-        if (!skipped.ok()) return skipped.error().context("soap-xml array");
-        continue;
-      }
-      auto text = p.inner_text(scratch);
-      if (!text.ok()) return text.error().context("soap-xml array");
-      auto v = str::parse_double(str::trim(*text));
-      if (!v.ok()) return v.error().context("soap-xml item");
-      out.push_back(*v);
+    if (auto st = read_soap_items(p, scratch, out); !st.ok()) {
+      return st.error().context("soap-xml array");
     }
     auto tail = p.next();
     if (!tail.ok()) return tail.error().context("soap-xml array");
@@ -125,7 +107,7 @@ class SoapXmlCodec final : public Codec {
 
   std::size_t wire_size(std::size_t n) const override {
     // Upper bound: framing + per-item tags + up to 24 chars of decimal text.
-    return 80 + n * (13 + 24);
+    return 80 + n * kMaxSoapItemBytes;
   }
 };
 
@@ -189,6 +171,49 @@ std::unique_ptr<Codec> make_xdr_codec() { return std::make_unique<XdrCodec>(); }
 std::unique_ptr<Codec> make_soap_xml_codec() { return std::make_unique<SoapXmlCodec>(); }
 std::unique_ptr<Codec> make_soap_base64_codec() {
   return std::make_unique<SoapBase64Codec>();
+}
+
+void append_soap_items(std::string& out, std::span<const double> values) {
+  std::size_t start = out.size();
+  out.resize(start + values.size() * kMaxSoapItemBytes);
+  char* at = out.data() + start;
+  char* const end = out.data() + out.size();
+  for (double v : values) {
+    std::memcpy(at, "<item>", 6);
+    at = std::to_chars(at + 6, end, v).ptr;
+    std::memcpy(at, "</item>", 7);
+    at += 7;
+  }
+  out.resize(static_cast<std::size_t>(at - out.data()));
+}
+
+Status read_soap_items(xml::PullParser& p, std::string& scratch, std::vector<double>& out) {
+  auto add = [&](std::string_view text) -> Status {
+    auto v = str::parse_double(str::trim(text));
+    if (!v.ok()) return v.error().context("soap array item");
+    out.push_back(*v);
+    return Status::success();
+  };
+  int base = p.depth();
+  while (true) {
+    // simple_element's TEXT is exactly what inner_text() would return.
+    if (auto text = p.simple_element("item")) {
+      if (auto st = add(*text); !st.ok()) return st;
+      continue;
+    }
+    auto t = p.next();
+    if (!t.ok()) return t.error();
+    if (*t == xml::Token::kEndElement && p.depth() == base - 1) return Status::success();
+    if (*t != xml::Token::kStartElement) continue;
+    if (p.local_name() != "item") {
+      auto skipped = p.skip_element();
+      if (!skipped.ok()) return skipped.error();
+      continue;
+    }
+    auto text = p.inner_text(scratch);
+    if (!text.ok()) return text.error();
+    if (auto st = add(*text); !st.ok()) return st;
+  }
 }
 
 std::vector<std::unique_ptr<Codec>> all_codecs() {

@@ -19,6 +19,10 @@
 #include "util/byte_buffer.hpp"
 #include "util/error.hpp"
 
+namespace h2::xml {
+class PullParser;
+}
+
 namespace h2::enc {
 
 /// Encodes/decodes a flat array of doubles — the paper's canonical
@@ -59,5 +63,25 @@ std::unique_ptr<Codec> make_soap_base64_codec();
 
 /// All four codecs in comparison order.
 std::vector<std::unique_ptr<Codec>> all_codecs();
+
+// ---- SOAP Section-5 double-array items -----------------------------------------
+// The one writer and reader of `<item>` runs, shared by the soap-xml codec
+// and the SOAP envelope (soap/envelope.cpp).
+
+/// Most bytes one item takes: "<item>" + "</item>" around the longest
+/// shortest-form double ("-2.2250738585072014e-308", 24 chars).
+inline constexpr std::size_t kMaxSoapItemBytes = 13 + 24;
+
+/// Appends `<item>V</item>` per value, V in shortest round-trip form.
+/// Resizes `out` once, writes through a raw pointer, then trims.
+void append_soap_items(std::string& out, std::span<const double> values);
+
+/// Reads the children of the element `p` has just returned as
+/// kStartElement, through its end tag, appending each `item` child's
+/// trimmed text as a double; other children are skipped. A bare
+/// `<item>TEXT</item>` is taken by PullParser::simple_element; anything
+/// else (prefixes, attributes, entities, CDATA, comments, bad markup) goes
+/// through the token loop and `scratch`.
+Status read_soap_items(xml::PullParser& p, std::string& scratch, std::vector<double>& out);
 
 }  // namespace h2::enc

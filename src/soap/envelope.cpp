@@ -3,6 +3,7 @@
 #include <charconv>
 
 #include "encoding/base64.hpp"
+#include "encoding/codec.hpp"
 #include "util/strings.hpp"
 #include "xml/escape.hpp"
 #include "xml/pull_parser.hpp"
@@ -120,11 +121,7 @@ void EnvelopeWriter::param(const Value& value, std::string_view element_name) {
         return;
       }
       out_.push_back('>');
-      for (double v : items) {
-        out_ += "<item>";
-        append_double(out_, v);
-        out_ += "</item>";
-      }
+      enc::append_soap_items(out_, items);
       break;
     }
     case ValueKind::kBytes:
@@ -177,8 +174,7 @@ std::size_t EnvelopeWriter::estimate(const Value& value, std::size_t name_len) {
   std::size_t fixed = 2 * name_len + 40;  // tags + xsi:type attribute
   switch (value.kind()) {
     case ValueKind::kDoubleArray:
-      // "<item>" + up to 24 digit chars + "</item>" per element.
-      return fixed + 40 + value.doubles_view().size() * 38;
+      return fixed + 40 + value.doubles_view().size() * enc::kMaxSoapItemBytes;
     case ValueKind::kBytes:
       return fixed + enc::base64_encoded_size(value.bytes_view().size());
     case ValueKind::kString:
@@ -357,7 +353,8 @@ Result<Value> xml_to_value(const xml::Node& element) {
     return Value::of_bytes(std::move(*bytes), name);
   }
   if (type == "boolean") {
-    auto text = str::trim(element.inner_text());
+    std::string raw = element.inner_text();  // trim() views it; keep it alive
+    auto text = str::trim(raw);
     if (text == "true" || text == "1") return Value::of_bool(true, name);
     if (text == "false" || text == "0") return Value::of_bool(false, name);
     return err::parse("soap: bad boolean '" + std::string(text) + "'");
@@ -445,22 +442,8 @@ Result<Value> read_param(PullParser& p, const HrefResolver* resolver,
         }
       }
     }
-    int base = p.depth();
-    while (true) {
-      auto t = p.next();
-      if (!t.ok()) return t.error();
-      if (*t == Token::kEndElement && p.depth() == base - 1) break;
-      if (*t != Token::kStartElement) continue;
-      if (p.local_name() != "item") {
-        auto skipped = p.skip_element();
-        if (!skipped.ok()) return skipped.error();
-        continue;
-      }
-      auto text = p.inner_text(scratch.text);
-      if (!text.ok()) return text.error();
-      auto v = str::parse_double(str::trim(*text));
-      if (!v.ok()) return v.error().context("soap array item in <" + name + ">");
-      values.push_back(*v);
+    if (auto st = enc::read_soap_items(p, scratch.text, values); !st.ok()) {
+      return st.error().context("<" + name + ">");
     }
     return Value::of_doubles(std::move(values), std::move(name));
   }

@@ -68,7 +68,9 @@ struct RpcReply {
 
   bool is_fault() const { return std::holds_alternative<Fault>(payload); }
   const Fault& fault() const { return std::get<Fault>(payload); }
-  const Value& value() const { return std::get<Value>(payload); }
+  const Value& value() const& { return std::get<Value>(payload); }
+  /// Moves the decoded value out (arrays are not copied).
+  Value&& value() && { return std::get<Value>(std::move(payload)); }
 };
 
 // ---- building -----------------------------------------------------------------

@@ -278,7 +278,7 @@ class SoapChannel final : public Channel {
       return Error(error_code_for_fault(reply->fault().code),
                    "soap fault: " + reply->fault().describe());
     }
-    return reply->value();
+    return std::move(*reply).value();
   }
 
   Status invoke_batch(std::span<const BatchItem> calls,
@@ -386,7 +386,7 @@ class SoapChannel final : public Channel {
         results.push_back(Result<Value>(Error(error_code_for_fault(reply.fault().code),
                                               "soap fault: " + reply.fault().describe())));
       } else {
-        results.push_back(Result<Value>(std::move(std::get<Value>(reply.payload))));
+        results.push_back(Result<Value>(std::move(reply).value()));
       }
     }
     return Status::success();
@@ -497,7 +497,7 @@ class MimeChannel final : public Channel {
       return Error(error_code_for_fault(reply->fault().code),
                    "mime fault: " + reply->fault().describe());
     }
-    return reply->value();
+    return std::move(*reply).value();
   }
 
   const char* binding_name() const override { return "mime"; }

@@ -1,6 +1,7 @@
 #include "xml/pull_parser.hpp"
 
 #include <array>
+#include <cstring>
 
 #include "xml/escape.hpp"
 
@@ -398,6 +399,37 @@ Result<std::string_view> PullParser::inner_text(std::string& scratch) {
   if (spilled) return std::string_view(scratch);
   if (have_single) return single;
   return std::string_view{};
+}
+
+std::optional<std::string_view> PullParser::simple_element(std::string_view tag) {
+  if (open_.empty() || pending_end_) return std::nullopt;
+  const char* data = input_.data();
+  const std::size_t size = input_.size();
+  std::size_t at = pos_;
+  if (options_.ignore_whitespace_text) {
+    while (at < size && is_ws(data[at])) ++at;
+  }
+  // "<tag>"
+  const std::size_t n = tag.size();
+  if (size - at < 2 * n + 5 || data[at] != '<' ||
+      std::memcmp(data + at + 1, tag.data(), n) != 0 || data[at + 1 + n] != '>') {
+    return std::nullopt;
+  }
+  const std::size_t text_start = at + n + 2;
+  const void* lt = std::memchr(data + text_start, '<', size - text_start);
+  if (lt == nullptr) return std::nullopt;
+  const std::size_t text_end = static_cast<std::size_t>(static_cast<const char*>(lt) - data);
+  // "</tag>"
+  if (size - text_end < n + 3 || data[text_end + 1] != '/' ||
+      std::memcmp(data + text_end + 2, tag.data(), n) != 0 || data[text_end + 2 + n] != '>') {
+    return std::nullopt;
+  }
+  std::string_view text = input_.substr(text_start, text_end - text_start);
+  if (std::memchr(text.data(), '&', text.size()) != nullptr) return std::nullopt;
+  pos_ = text_end + n + 3;
+  name_ = input_.substr(text_end + 2, n);
+  token_ = Token::kEndElement;
+  return text;
 }
 
 }  // namespace h2::xml

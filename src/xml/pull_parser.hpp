@@ -108,6 +108,19 @@ class PullParser {
   /// the concatenation.
   Result<std::string_view> inner_text(std::string& scratch);
 
+  /// Fixed-shape leaf fast path (SOAP array items). Inside an element, and
+  /// not right after a self-closing start tag: if the input at the cursor
+  /// is exactly `<tag>TEXT</tag>` and TEXT holds neither '<' nor '&',
+  /// consumes that element and returns TEXT as a view of the input,
+  /// leaving the parser on the element's kEndElement just as next() would.
+  /// Whitespace before the element is skipped only when
+  /// ignore_whitespace_text is set. Otherwise consumes nothing and returns
+  /// nullopt, so the caller falls back to next(). TEXT is then exactly
+  /// what inner_text() would return, so both paths reach the same verdict.
+  /// Never allocates; leaves the open-element, namespace and attribute
+  /// state alone (the element has no attributes and closes at once).
+  std::optional<std::string_view> simple_element(std::string_view tag);
+
   /// Line/column of the current read position (computed on demand; used
   /// for error messages only, so the hot path never tracks positions).
   std::pair<std::size_t, std::size_t> position() const;

@@ -156,5 +156,22 @@ TEST(CodecDetail, SoapBase64RejectsCountMismatch) {
   EXPECT_FALSE(codec->decode(ByteBuffer(text)).ok());
 }
 
+TEST(CodecDetail, SoapXmlReadsEveryItemShape) {
+  // Bare items take PullParser::simple_element; the rest go through the
+  // token loop. Both must give the general reading.
+  auto codec = make_soap_xml_codec();
+  auto decoded = codec->decode(ByteBuffer(std::string(
+      "<array xmlns:x=\"urn:x\"><item>1.5</item><item> 2 </item>"
+      "<x:item>3</x:item><item a=\"1\">4</item><item>5&#46;5</item>"
+      "<!-- c --><item><![CDATA[6]]></item><other>7</other><item>-0</item></array>")));
+  ASSERT_TRUE(decoded.ok()) << decoded.error().message();
+  EXPECT_EQ(*decoded, (std::vector<double>{1.5, 2, 3, 4, 5.5, 6, -0.0}));
+  EXPECT_TRUE(std::signbit(decoded->back()));
+  for (const char* bad : {"<array><item>1.5x</item></array>", "<array><item></item></array>",
+                          "<array><item>1</itemx></array>", "<array><item>1</item>"}) {
+    EXPECT_FALSE(codec->decode(ByteBuffer(std::string(bad))).ok()) << bad;
+  }
+}
+
 }  // namespace
 }  // namespace h2::enc

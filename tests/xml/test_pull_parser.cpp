@@ -276,5 +276,165 @@ TEST(PullParserParity, ErrorsCarryPosition) {
       << t.error().message();
 }
 
+// ---- simple_element: the fixed-shape leaf fast path ---------------------------
+
+// Drains `p` to EOF or error, recording each token with its name or text
+// and the depth after it. Equal traces mean equal parser futures.
+std::string drain_trace(PullParser& p) {
+  std::string out;
+  for (int i = 0; i < 1000; ++i) {
+    auto t = p.next();
+    if (!t.ok()) return out + "error: " + t.error().message();
+    switch (*t) {
+      case Token::kStartElement:
+        out += "<" + std::string(p.name()) + ">";
+        break;
+      case Token::kEndElement:
+        out += "</" + std::string(p.name()) + ">";
+        break;
+      case Token::kText:
+      case Token::kCData:
+        out += "[" + std::string(p.raw_text()) + "]";
+        break;
+      case Token::kEof:
+        return out + "EOF";
+    }
+    out += std::to_string(p.depth()) + " ";
+  }
+  return out + "unterminated";
+}
+
+// Inside the root of `doc`, simple_element("item") matches and returns
+// exactly what next() + inner_text() return, and both parsers continue
+// identically afterwards.
+void expect_simple(std::string_view doc, std::string_view want,
+                   PullParser::Options opts = {}) {
+  PullParser fast(doc, opts);
+  ASSERT_TRUE(fast.next().ok()) << doc;
+  auto text = fast.simple_element("item");
+  ASSERT_TRUE(text.has_value()) << doc;
+  EXPECT_EQ(*text, want) << doc;
+  EXPECT_EQ(fast.token(), Token::kEndElement);
+  EXPECT_EQ(fast.name(), "item");
+  EXPECT_EQ(fast.depth(), 1);
+
+  PullParser slow(doc, opts);
+  ASSERT_TRUE(slow.next().ok());
+  auto start = slow.next();
+  ASSERT_TRUE(start.ok());
+  ASSERT_EQ(*start, Token::kStartElement);
+  std::string scratch;
+  auto inner = slow.inner_text(scratch);
+  ASSERT_TRUE(inner.ok());
+  EXPECT_EQ(*text, *inner) << doc;
+  EXPECT_EQ(drain_trace(fast), drain_trace(slow)) << doc;
+}
+
+// Inside the root of `doc`, simple_element("item") declines and consumes
+// nothing: the parser's future is the same as if it had not been called.
+void expect_declined(std::string_view doc, PullParser::Options opts = {}) {
+  PullParser fast(doc, opts);
+  ASSERT_TRUE(fast.next().ok()) << doc;
+  EXPECT_FALSE(fast.simple_element("item").has_value()) << doc;
+  PullParser slow(doc, opts);
+  ASSERT_TRUE(slow.next().ok());
+  EXPECT_EQ(drain_trace(fast), drain_trace(slow)) << doc;
+}
+
+TEST(PullParserSimpleElement, MatchesBareLeaf) {
+  expect_simple("<a><item>1.5</item></a>", "1.5");
+  expect_simple("<a><item>1.5</item><item>-2</item><b/></a>", "1.5");
+  expect_simple("<a> \n\t<item>1.5</item></a>", "1.5");  // ignorable whitespace
+  expect_simple("<a><item> 1.5 </item></a>", " 1.5 ");   // padding is TEXT
+  expect_simple("<a><item>1>2 ]]></item></a>", "1>2 ]]>");
+  expect_simple("<a><item>x</item>tail</a>", "x");
+}
+
+TEST(PullParserSimpleElement, EmptyTextMatchesLikeInnerText) {
+  expect_simple("<a><item></item></a>", "");
+  // A whitespace-only TEXT is returned raw; inner_text() drops it instead,
+  // and both trim to the same empty item.
+  PullParser p("<a><item> </item></a>");
+  ASSERT_TRUE(p.next().ok());
+  auto text = p.simple_element("item");
+  ASSERT_TRUE(text.has_value());
+  EXPECT_EQ(*text, " ");
+}
+
+TEST(PullParserSimpleElement, DeclinesEverythingElse) {
+  expect_declined("<a><item>1&#46;5</item></a>");       // entity
+  expect_declined("<a><item>1&amp;5</item></a>");
+  expect_declined("<a><item>1&bogus;5</item></a>");     // general path rejects
+  expect_declined("<a><x:item>1.5</x:item></a>");       // prefixed
+  expect_declined("<a><item a=\"1\">1.5</item></a>");   // attribute
+  expect_declined("<a><item >1.5</item></a>");
+  expect_declined("<a><item/></a>");                    // self-closing
+  expect_declined("<a><item>1.5</item ></a>");          // padded end tag
+  expect_declined("<a><item>1.5</itemx></a>");          // mismatched end tag
+  expect_declined("<a><item>1.5</x:item></a>");
+  expect_declined("<a><items>1.5</items></a>");         // longer name
+  expect_declined("<a><ite>1.5</ite></a>");             // shorter name
+  expect_declined("<a><!-- c --><item>1.5</item></a>"); // comment first
+  expect_declined("<a><item>1<!-- c -->5</item></a>");  // comment inside
+  expect_declined("<a><item><![CDATA[1.5]]></item></a>");
+  expect_declined("<a><item><b/>1.5</item></a>");       // nested element
+  expect_declined("<a>x<item>1.5</item></a>");          // text first
+  expect_declined("<a></a>");
+}
+
+TEST(PullParserSimpleElement, DeclinesEveryTruncation) {
+  const std::string doc = "<a><item>1.5</item></a>";
+  const std::size_t item_end = doc.find("</a>");
+  for (std::size_t cut = 3; cut < item_end; ++cut) {
+    expect_declined(doc.substr(0, cut));
+  }
+}
+
+TEST(PullParserSimpleElement, SkipsWhitespaceOnlyWhenIgnoringIt) {
+  PullParser::Options keep;
+  keep.ignore_whitespace_text = false;
+  expect_declined("<a> <item>1.5</item></a>", keep);
+  expect_simple("<a><item> 1.5 </item></a>", " 1.5 ", keep);
+}
+
+TEST(PullParserSimpleElement, OnlyInsideAnOpenElement) {
+  PullParser before("<item>1</item>");
+  EXPECT_FALSE(before.simple_element("item").has_value());  // prolog
+  auto t = before.next();
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(*t, Token::kStartElement);
+
+  // Right after a self-closing start tag the parser still owes its
+  // synthesized end; only after that may the fast path run.
+  PullParser p("<r><a/><item>1</item></r>");
+  ASSERT_TRUE(p.next().ok());  // r
+  ASSERT_TRUE(p.next().ok());  // a, self-closing
+  EXPECT_FALSE(p.simple_element("item").has_value());
+  t = p.next();
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(*t, Token::kEndElement);
+  EXPECT_EQ(p.name(), "a");
+  auto text = p.simple_element("item");
+  ASSERT_TRUE(text.has_value());
+  EXPECT_EQ(*text, "1");
+  t = p.next();
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(*t, Token::kEndElement);
+  EXPECT_EQ(p.name(), "r");
+  t = p.next();
+  ASSERT_TRUE(t.ok());
+  EXPECT_EQ(*t, Token::kEof);
+  EXPECT_FALSE(p.simple_element("item").has_value());  // epilog
+}
+
+TEST(PullParserSimpleElement, KeepsNamespaceScope) {
+  PullParser p("<r xmlns:q=\"urn:q\"><item>1</item><q:x/></r>");
+  ASSERT_TRUE(p.next().ok());
+  ASSERT_TRUE(p.simple_element("item").has_value());
+  ASSERT_TRUE(p.next().ok());  // q:x
+  ASSERT_TRUE(p.namespace_uri().has_value());
+  EXPECT_EQ(*p.namespace_uri(), "urn:q");
+}
+
 }  // namespace
 }  // namespace h2::xml
