@@ -231,7 +231,7 @@ std::size_t EventLoop::drain(std::size_t max) {
 }
 
 std::size_t EventLoop::fire_timers(Nanos now) {
-  std::vector<TimerWheel::Due> due;
+  std::vector<HierWheel<Task>::Due> due;
   {
     std::lock_guard lock(mu_);
     wheel_.collect_due(now, due);
@@ -239,7 +239,7 @@ std::size_t EventLoop::fire_timers(Nanos now) {
   }
   if (due.empty()) return 0;
   CurrentGuard guard(*this);
-  for (auto& timer : due) timer.task();
+  for (auto& timer : due) timer.payload();
   return due.size();
 }
 

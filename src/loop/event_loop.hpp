@@ -1,8 +1,8 @@
 // EventLoop — the dispatch seam every kernel, container, and transport
 // reactor binds to. One loop owns: an MPSC task queue (cross-loop
-// post()), a hashed timer wheel (heartbeats, anti-entropy, backoff),
-// and an fd-interest table (socket readiness callbacks). The loop
-// itself never starts a thread; a *driver* decides how it runs:
+// post()), a hierarchical timer wheel (heartbeats, anti-entropy, hint
+// replay), and an fd-interest table (socket readiness callbacks). The
+// loop itself never starts a thread; a *driver* decides how it runs:
 //
 //   - no driver ("eager" mode, the default): post()/dispatch() run
 //     tasks inline on the calling thread, exactly the synchronous
@@ -32,7 +32,7 @@
 #include <thread>
 #include <vector>
 
-#include "loop/timer_wheel.hpp"
+#include "loop/hier_wheel.hpp"
 #include "util/clock.hpp"
 #include "util/error.hpp"
 
@@ -204,7 +204,7 @@ class EventLoop {
 
   mutable std::mutex mu_;
   std::deque<Task> queue_;
-  TimerWheel wheel_;
+  HierWheel<Task> wheel_;
   std::map<int, FdEntry> fds_;
   Driver* driver_ = nullptr;
   bool draining_ = false;

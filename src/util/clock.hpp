@@ -17,6 +17,15 @@ constexpr Nanos kMicrosecond = 1'000;
 constexpr Nanos kMillisecond = 1'000'000;
 constexpr Nanos kSecond = 1'000'000'000;
 
+/// a + b, saturating at the representable maximum instead of wrapping
+/// into the past when a positive `b` would overflow.
+constexpr Nanos saturating_add(Nanos a, Nanos b) {
+  if (b > 0 && a > std::numeric_limits<Nanos>::max() - b) {
+    return std::numeric_limits<Nanos>::max();
+  }
+  return a + b;
+}
+
 /// Abstract time source.
 class Clock {
  public:
@@ -42,12 +51,7 @@ class VirtualClock final : public Clock {
  public:
   Nanos now() const override { return now_; }
   void advance(Nanos delta) {
-    if (delta <= 0) return;
-    if (delta > std::numeric_limits<Nanos>::max() - now_) {
-      now_ = std::numeric_limits<Nanos>::max();
-    } else {
-      now_ += delta;
-    }
+    if (delta > 0) now_ = saturating_add(now_, delta);
   }
   /// Jumps directly to `t` if it is in the future.
   void advance_to(Nanos t) {

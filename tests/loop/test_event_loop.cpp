@@ -6,6 +6,10 @@
 //    quiescence across loops in registration order, advance() stops at
 //    every timer deadline, periodic timers re-arm — the determinism
 //    contract the scenario sweeps rely on.
+//  - the loop's timer wheel (suite TimerWheel), through schedule/
+//    cancel_timer/fire_timers/next_timer_deadline on a virtual clock:
+//    (deadline, id) order, no early fire, cancel, and a clock leap
+//    far past every wheel level.
 #include "loop/event_loop.hpp"
 
 #include <gtest/gtest.h>
@@ -250,6 +254,102 @@ TEST(EventLoopQueued, NowFollowsVirtualClock) {
   EXPECT_EQ(loop.now(), 0);
   clock.advance(5 * kMillisecond);
   EXPECT_EQ(loop.now(), 5 * kMillisecond);
+}
+
+// The loop's timer wheel, seen through EventLoop's timer API. The loop
+// runs under a SimDriver so schedule() measures delays from virtual
+// time 0; fire_timers() is then called with explicit collection times.
+
+TEST(TimerWheel, FiresInDeadlineThenIdOrder) {
+  VirtualClock clock;
+  SimDriver driver(clock);
+  EventLoop loop("t");
+  driver.add_loop(loop);
+
+  std::vector<int> order;
+  // Armed out of deadline order on purpose; same-deadline ties break by id.
+  TimerId late = loop.schedule(5 * kMillisecond, [&order] { order.push_back(3); });
+  TimerId early = loop.schedule(kMillisecond, [&order] { order.push_back(1); });
+  TimerId tied = loop.schedule(5 * kMillisecond, [&order] { order.push_back(4); });
+  ASSERT_LT(late, tied);
+  ASSERT_LT(early, tied);
+
+  EXPECT_EQ(loop.fire_timers(10 * kMillisecond), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 3, 4}));
+  EXPECT_EQ(loop.next_timer_deadline(), kNoDeadline);
+  EXPECT_EQ(loop.stats().timers_fired, 3u);
+}
+
+TEST(TimerWheel, NothingFiresBeforeItsDeadline) {
+  VirtualClock clock;
+  SimDriver driver(clock);
+  EventLoop loop("t");
+  driver.add_loop(loop);
+
+  int fired = 0;
+  (void)loop.schedule(10 * kMillisecond, [&fired] { ++fired; });
+  EXPECT_EQ(loop.fire_timers(9 * kMillisecond), 0u);
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(loop.next_timer_deadline(), 10 * kMillisecond);
+  EXPECT_EQ(loop.fire_timers(10 * kMillisecond), 1u);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(TimerWheel, NextDeadlineTracksArmedTimers) {
+  VirtualClock clock;
+  SimDriver driver(clock);
+  EventLoop loop("t");
+  driver.add_loop(loop);
+
+  EXPECT_EQ(loop.next_timer_deadline(), kNoDeadline);
+  TimerId a = loop.schedule(7 * kMillisecond, [] {});
+  (void)loop.schedule(3 * kMillisecond, [] {});
+  EXPECT_EQ(loop.next_timer_deadline(), 3 * kMillisecond);
+  ASSERT_EQ(loop.fire_timers(3 * kMillisecond), 1u);
+  EXPECT_EQ(loop.next_timer_deadline(), 7 * kMillisecond);
+  EXPECT_TRUE(loop.cancel_timer(a));
+  EXPECT_EQ(loop.next_timer_deadline(), kNoDeadline);
+}
+
+TEST(TimerWheel, CancelledTimerNeverFires) {
+  VirtualClock clock;
+  SimDriver driver(clock);
+  EventLoop loop("t");
+  driver.add_loop(loop);
+
+  int fired = 0;
+  TimerId id = loop.schedule(kMillisecond, [&fired] { ++fired; });
+  EXPECT_TRUE(loop.cancel_timer(id));
+  EXPECT_FALSE(loop.cancel_timer(id));  // second cancel: already gone
+  EXPECT_EQ(loop.fire_timers(10 * kMillisecond), 0u);
+  EXPECT_EQ(fired, 0);
+  LoopStats stats = loop.stats();
+  EXPECT_EQ(stats.timers_cancelled, 1u);
+  EXPECT_EQ(stats.timers_fired, 0u);
+}
+
+TEST(TimerWheel, ClockLeapBeyondOneRotationStillFiresEverything) {
+  // The loop's wheel spans 1ms x 256 slots per level over 4 levels
+  // (~50 days); a one-year leap overshoots every level, yet each armed
+  // timer must still fire exactly once, in deadline order.
+  VirtualClock clock;
+  SimDriver driver(clock);
+  EventLoop loop("t");
+  driver.add_loop(loop);
+
+  std::vector<Nanos> fired;
+  constexpr int kTimers = 40;
+  for (int i = 0; i < kTimers; ++i) {
+    Nanos delay = (i + 1) * 3 * kMillisecond;
+    (void)loop.schedule(delay, [&fired, delay] { fired.push_back(delay); });
+  }
+  EXPECT_EQ(loop.fire_timers(365LL * 24 * 3600 * kSecond),
+            static_cast<std::size_t>(kTimers));
+  ASSERT_EQ(fired.size(), static_cast<std::size_t>(kTimers));
+  for (std::size_t i = 1; i < fired.size(); ++i) {
+    EXPECT_LT(fired[i - 1], fired[i]);
+  }
+  EXPECT_EQ(loop.next_timer_deadline(), kNoDeadline);
 }
 
 }  // namespace

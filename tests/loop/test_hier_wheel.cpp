@@ -1,12 +1,13 @@
 // HierWheel unit tests: (deadline, id) firing order across levels,
-// cascading from coarse to fine levels, lazy cancel, clock-leap full
-// sweeps, and the O(touched) accounting that makes it the registry's
-// lease wheel.
+// cascading from coarse to fine levels, periodic re-arm and catch-up,
+// stale-`now` clamping, lazy cancel, clock-leap full sweeps, and the
+// O(touched) accounting that makes it the registry's lease wheel.
 #include "loop/hier_wheel.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace h2::loop {
@@ -44,6 +45,28 @@ TEST(HierWheel, NothingFiresBeforeItsDeadline) {
   EXPECT_TRUE(collect(wheel, 9 * kMillisecond).empty());
   EXPECT_EQ(wheel.size(), 1u);
   EXPECT_EQ(collect(wheel, 10 * kMillisecond).size(), 1u);
+}
+
+TEST(HierWheel, NonPositiveDelayFiresAtNextCollection) {
+  Wheel wheel;
+  (void)wheel.add(5 * kMillisecond, 0, 1);
+  (void)wheel.add(5 * kMillisecond, -3, 2);
+  EXPECT_EQ(collect(wheel, 5 * kMillisecond).size(), 2u);
+}
+
+TEST(HierWheel, StaleNowClampsToTheCurrentTick) {
+  // An add whose `now` is behind the last collection must still fire at
+  // the next collection, not hang in a bucket the cursor has passed.
+  Wheel wheel;
+  (void)wheel.add(0, kMillisecond, 1);
+  ASSERT_EQ(collect(wheel, 10 * kMillisecond).size(), 1u);
+  TimerId stale = wheel.add(2 * kMillisecond, kMillisecond, 2);
+  EXPECT_EQ(wheel.next_deadline(), 10 * kMillisecond);
+  auto due = collect(wheel, 11 * kMillisecond);
+  ASSERT_EQ(due.size(), 1u);
+  EXPECT_EQ(due[0].id, stale);
+  EXPECT_EQ(due[0].deadline, 10 * kMillisecond);
+  EXPECT_EQ(wheel.next_deadline(), kNoDeadline);
 }
 
 TEST(HierWheel, SubTickDeadlinesFireOnTime) {
@@ -98,6 +121,74 @@ TEST(HierWheel, ManyMixedHorizonsAllFireExactlyOnce) {
     EXPECT_TRUE(fired[i]) << "entry " << i << " never fired";
   }
   EXPECT_EQ(wheel.size(), 0u);
+}
+
+TEST(HierWheel, ManyTimersAcrossManyCollections) {
+  Wheel wheel(kMillisecond, 16);  // tiny wheel: forces slot collisions
+  for (std::uint64_t i = 0; i < 500; ++i) {
+    (void)wheel.add(0, static_cast<Nanos>(i % 97 + 1) * kMillisecond, i);
+  }
+  std::size_t fired = 0;
+  Nanos now = 0;
+  while (wheel.size() > 0) {
+    now += 7 * kMillisecond;
+    fired += collect(wheel, now).size();
+  }
+  EXPECT_EQ(fired, 500u);
+}
+
+TEST(HierWheel, PeriodicRearmsAtEachPeriod) {
+  // A callback payload, as EventLoop arms it: each Due carries a copy
+  // and the armed entry keeps its own.
+  HierWheel<std::function<void()>> wheel;
+  int calls = 0;
+  TimerId id = wheel.add(0, 2 * kMillisecond, [&calls] { ++calls; },
+                         2 * kMillisecond);
+  for (int round = 1; round <= 3; ++round) {
+    std::vector<HierWheel<std::function<void()>>::Due> due;
+    wheel.collect_due(round * 2 * kMillisecond, due);
+    ASSERT_EQ(due.size(), 1u) << round;
+    EXPECT_EQ(due[0].id, id);
+    EXPECT_EQ(due[0].deadline, round * 2 * kMillisecond);
+    due[0].payload();
+  }
+  EXPECT_EQ(calls, 3);
+  EXPECT_EQ(wheel.size(), 1u);  // still armed
+  EXPECT_TRUE(wheel.cancel(id));
+}
+
+TEST(HierWheel, PeriodicCatchUpFiresOncePerMissedPeriod) {
+  Wheel wheel;
+  (void)wheel.add(0, kMillisecond, 7, kMillisecond);
+  // Collecting far past the deadline: one Due per missed period, in
+  // deadline order, and the entry stays armed for the future.
+  auto due = collect(wheel, 5 * kMillisecond + kMillisecond / 2);
+  ASSERT_EQ(due.size(), 5u);
+  for (std::size_t i = 0; i < due.size(); ++i) {
+    EXPECT_EQ(due[i].deadline, static_cast<Nanos>(i + 1) * kMillisecond);
+    EXPECT_EQ(due[i].payload, 7u);
+  }
+  EXPECT_EQ(wheel.next_deadline(), 6 * kMillisecond);
+}
+
+TEST(HierWheel, PeriodLongerThanOneRotationCascadesEveryPeriod) {
+  // Level 0 spans 8ms, so a 20.5ms period re-arms into level 1 each
+  // time; no deadline falls on an 8ms boundary, so each one must cascade
+  // down before it fires.
+  Wheel wheel(kMillisecond, 8, 3);
+  const Nanos period = 20 * kMillisecond + kMillisecond / 2;
+  TimerId id = wheel.add(0, period, 1, period);
+  std::uint64_t fires = 0;
+  for (Nanos now = 0; now <= 10 * period; now += kMillisecond / 2) {
+    for (const auto& d : collect(wheel, now)) {
+      EXPECT_EQ(d.id, id);
+      EXPECT_EQ(d.deadline, now) << "fired late";
+      ++fires;
+      EXPECT_GE(wheel.cascades(), fires);
+    }
+  }
+  EXPECT_EQ(fires, 10u);
+  EXPECT_EQ(wheel.next_deadline(), 11 * period);
 }
 
 TEST(HierWheel, CancelPreventsFiring) {
