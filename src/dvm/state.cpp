@@ -356,6 +356,30 @@ std::vector<Value> shard_params(std::size_t shard, std::size_t shard_count) {
           Value::of_int(static_cast<std::int64_t>(shard_count), "shards")};
 }
 
+/// Sends `count` calls to `peer` in batched frames of at most
+/// net::kMaxBatchCalls (the server refuses a larger frame whole), building
+/// call i with `make_call(i)`. Stops at the first failed frame, prefixed
+/// with `context`, or failed sub-call i, prefixed with `call_context(i)`.
+template <typename MakeCall, typename CallContext>
+Status invoke_in_frames(net::Channel& peer, std::size_t count, MakeCall&& make_call,
+                        std::string_view context, CallContext&& call_context) {
+  std::vector<net::BatchItem> calls;
+  std::vector<Result<Value>> results;
+  for (std::size_t first = 0; first < count; first += net::kMaxBatchCalls) {
+    const std::size_t end = std::min<std::size_t>(count, first + net::kMaxBatchCalls);
+    calls.clear();
+    calls.reserve(end - first);
+    for (std::size_t i = first; i < end; ++i) calls.push_back(make_call(i));
+    if (auto status = peer.invoke_batch(calls, results); !status.ok()) {
+      return status.error().context(context);
+    }
+    for (std::size_t r = 0; r < results.size(); ++r) {
+      if (!results[r].ok()) return results[r].error().context(call_context(first + r));
+    }
+  }
+  return Status::success();
+}
+
 }  // namespace
 
 net::BatchItem vset_item(const VersionedEntry& entry) {
@@ -420,24 +444,9 @@ Result<ShardSyncStats> sync_shard_with_peer(net::Channel& peer, StateStore& loca
 Status push_entries_batched(net::Channel& peer,
                             std::span<const VersionedEntry> entries,
                             std::string_view context) {
-  for (std::size_t offset = 0; offset < entries.size();
-       offset += net::kMaxBatchCalls) {
-    const std::size_t count =
-        std::min<std::size_t>(net::kMaxBatchCalls, entries.size() - offset);
-    std::vector<net::BatchItem> calls;
-    calls.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      calls.push_back(vset_item(entries[offset + i]));
-    }
-    std::vector<Result<Value>> results;
-    if (auto status = peer.invoke_batch(calls, results); !status.ok()) {
-      return status.error().context(std::string(context));
-    }
-    for (const auto& result : results) {
-      if (!result.ok()) return result.error().context(std::string(context));
-    }
-  }
-  return Status::success();
+  return invoke_in_frames(
+      peer, entries.size(), [&](std::size_t i) { return vset_item(entries[i]); }, context,
+      [&](std::size_t) { return context; });
 }
 
 // ---- DvmNode -------------------------------------------------------------------
@@ -486,31 +495,18 @@ Status DvmNode::remote_set(DvmNode& target, std::string_view key,
 
 Status DvmNode::remote_set_batch(DvmNode& target, std::span<const KV> writes) {
   if (writes.empty()) return Status::success();
-  std::vector<net::BatchItem> calls;
-  calls.reserve(writes.size());
-  for (const KV& kv : writes) {
-    net::BatchItem item;
-    item.operation = "set";
-    item.params.push_back(Value::of_string(std::string(kv.key), "key"));
-    item.params.push_back(Value::of_string(std::string(kv.value), "value"));
-    calls.push_back(std::move(item));
-  }
-  net::Endpoint endpoint{.scheme = "xdr",
-                         .host = target.name(),
-                         .port = kStatePort,
-                         .path = ""};
-  auto channel = net::make_xdr_channel(network(), host(), endpoint);
-  std::vector<Result<Value>> results;
-  if (auto status = channel->invoke_batch(calls, results); !status.ok()) {
-    return status.error().context("batched set to " + target.name());
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      return results[i].error().context("batched set of '" +
-                                        std::string(writes[i].key) + "'");
-    }
-  }
-  return Status::success();
+  auto channel = open_state_channel(target);
+  return invoke_in_frames(
+      *channel, writes.size(),
+      [&](std::size_t i) {
+        net::BatchItem item;
+        item.operation = "set";
+        item.params.push_back(Value::of_string(std::string(writes[i].key), "key"));
+        item.params.push_back(Value::of_string(std::string(writes[i].value), "value"));
+        return item;
+      },
+      "batched set to " + target.name(),
+      [&](std::size_t i) { return "batched set of '" + std::string(writes[i].key) + "'"; });
 }
 
 Result<std::string> DvmNode::remote_get(DvmNode& target, std::string_view key) {
@@ -558,20 +554,11 @@ Result<VersionedEntry> DvmNode::remote_vget(DvmNode& target, std::string_view ke
 Status DvmNode::remote_vset_batch(DvmNode& target,
                                   std::span<const VersionedEntry> entries) {
   if (entries.empty()) return Status::success();
-  std::vector<net::BatchItem> calls;
-  calls.reserve(entries.size());
-  for (const VersionedEntry& entry : entries) calls.push_back(vset_item(entry));
   auto channel = open_state_channel(target);
-  std::vector<Result<Value>> results;
-  if (auto status = channel->invoke_batch(calls, results); !status.ok()) {
-    return status.error().context("batched vset to " + target.name());
-  }
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (!results[i].ok()) {
-      return results[i].error().context("batched vset of '" + entries[i].key + "'");
-    }
-  }
-  return Status::success();
+  return invoke_in_frames(
+      *channel, entries.size(), [&](std::size_t i) { return vset_item(entries[i]); },
+      "batched vset to " + target.name(),
+      [&](std::size_t i) { return "batched vset of '" + entries[i].key + "'"; });
 }
 
 }  // namespace h2::dvm

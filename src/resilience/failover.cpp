@@ -1,5 +1,6 @@
 #include "resilience/failover.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 #include "resilience/resilient_channel.hpp"
@@ -29,18 +30,19 @@ std::string FailoverChannel::node_of(const net::Channel& channel) const {
   return remote != nullptr ? remote->host : origin_.name();
 }
 
-Result<Value> FailoverChannel::invoke(std::string_view operation,
-                                      std::span<const Value> params) {
+template <typename Attempt>
+auto FailoverChannel::call_with_failover(Attempt&& attempt)
+    -> decltype(attempt(std::declval<net::Channel&>())) {
   std::string failed_node;
   // Sticky primary: keep using the node that last answered until it
   // becomes unavailable — failover is an event, not a per-call lottery.
   if (current_) {
-    auto result = current_->invoke(operation, params);
+    auto outcome = attempt(*current_);
     last_stats_ = current_->last_stats();
-    if (result.ok() || result.error().code() != ErrorCode::kUnavailable) {
+    if (outcome.ok() || outcome.error().code() != ErrorCode::kUnavailable) {
       // Success, an application answer, or kTimeout ("maybe executed" —
       // switching replicas now could double-apply; the caller decides).
-      return result;
+      return outcome;
     }
     failed_node = current_node_;
     current_.reset();
@@ -57,12 +59,12 @@ Result<Value> FailoverChannel::invoke(std::string_view operation,
     }
     std::string node = node_of(**channel);
     if (node == failed_node) continue;  // the replica that just failed us
-    auto result = (*channel)->invoke(operation, params);
+    auto outcome = attempt(**channel);
     last_stats_ = (*channel)->last_stats();
     const bool definitely_not_executed =
-        !result.ok() && result.error().code() == ErrorCode::kUnavailable;
+        !outcome.ok() && outcome.error().code() == ErrorCode::kUnavailable;
     if (definitely_not_executed) {
-      last_error = result.error();
+      last_error = outcome.error();
       continue;
     }
     // This replica owns the call now (even a kTimeout pins us here: only
@@ -73,7 +75,7 @@ Result<Value> FailoverChannel::invoke(std::string_view operation,
     }
     current_ = std::move(*channel);
     current_node_ = std::move(node);
-    return result;
+    return outcome;
   }
 
   // Every replica is (currently) unreachable. No handler ran anywhere, but
@@ -84,53 +86,22 @@ Result<Value> FailoverChannel::invoke(std::string_view operation,
                                         last_error.message() + ")");
 }
 
+Result<Value> FailoverChannel::invoke(std::string_view operation,
+                                      std::span<const Value> params) {
+  return call_with_failover(
+      [&](net::Channel& channel) { return channel.invoke(operation, params); });
+}
+
 Status FailoverChannel::invoke_batch(std::span<const net::BatchItem> calls,
                                      std::vector<Result<Value>>& results) {
   if (calls.empty()) {
     results.clear();
     return Status::success();
   }
-  std::string failed_node;
-  if (current_) {
-    Status status = current_->invoke_batch(calls, results);
-    last_stats_ = current_->last_stats();
-    if (status.ok() || status.error().code() != ErrorCode::kUnavailable) {
-      return status;
-    }
-    failed_node = current_node_;
-    current_.reset();
-    current_node_.clear();
-  }
-
-  Error last_error =
-      err::unavailable("no replica of '" + service_ + "' in dvm " + dvm_.name());
-  for (const wsdl::Definitions& defs : dvm_.find_all_services(service_)) {
-    auto channel = open_candidate(defs);
-    if (!channel.ok()) {
-      last_error = channel.error();
-      continue;
-    }
-    std::string node = node_of(**channel);
-    if (node == failed_node) continue;
-    Status status = (*channel)->invoke_batch(calls, results);
-    last_stats_ = (*channel)->last_stats();
-    if (!status.ok() && status.error().code() == ErrorCode::kUnavailable) {
-      last_error = status.error();
-      continue;
-    }
-    if (!failed_node.empty() && node != failed_node) {
-      c_failovers_.add();
-      dvm_.announce_failover(service_, failed_node, node);
-    }
-    current_ = std::move(*channel);
-    current_node_ = std::move(node);
-    return status;
-  }
-
-  Error timeout(ErrorCode::kTimeout, "no replica available for '" + service_ +
-                                         "' (" + last_error.message() + ")");
-  results.assign(calls.size(), Result<Value>(timeout));
-  return Status(std::move(timeout));
+  Status status = call_with_failover(
+      [&](net::Channel& channel) { return channel.invoke_batch(calls, results); });
+  if (!status.ok()) results.assign(calls.size(), Result<Value>(status.error()));
+  return status;
 }
 
 // ---- ShardRoutedChannel ---------------------------------------------------------
@@ -152,13 +123,6 @@ std::optional<dvm::Version> parse_version(std::string_view reply) {
 std::vector<Value> wset_params(std::string_view key, std::string_view value) {
   return {Value::of_string(std::string(key), "key"),
           Value::of_string(std::string(value), "value")};
-}
-
-std::vector<Value> vset_params(const dvm::VersionedEntry& entry) {
-  return {Value::of_string(entry.key, "key"), Value::of_string(entry.value, "value"),
-          Value::of_int(static_cast<std::int64_t>(entry.version.ts), "ts"),
-          Value::of_int(static_cast<std::int64_t>(entry.version.writer), "writer"),
-          Value::of_bool(entry.deleted, "deleted")};
 }
 
 }  // namespace
@@ -267,7 +231,7 @@ Status ShardRoutedChannel::replicate(const dvm::VersionedEntry& entry,
   // the coordinating owner, so this never fails the call.
   for (const std::string& owner : owners) {
     if (owner == already_applied) continue;
-    if (!channel_to(owner).invoke("vset", vset_params(entry)).ok()) {
+    if (!channel_to(owner).invoke("vset", dvm::vset_item(entry).params).ok()) {
       dvm_.park_hint(origin_.name(), owner, entry);
     }
   }
@@ -328,67 +292,73 @@ Status ShardRoutedChannel::set_batch(std::span<const dvm::KV> writes) {
   }
 
   // One replication entry per write, accumulated across groups and sent as
-  // ONE vset batch per secondary owner at the end (failed legs become
-  // hints).
+  // batched vset frames per secondary owner at the end (failed legs become
+  // hints). Every frame, routed or replicated, carries at most
+  // net::kMaxBatchCalls calls: the server refuses a larger one whole.
   std::map<std::string, std::vector<dvm::VersionedEntry>> replication;
   for (auto& [node, group] : groups) {
-    std::vector<net::BatchItem> calls;
-    calls.reserve(group.write_idx.size());
-    for (std::size_t idx : group.write_idx) {
-      net::BatchItem item;
-      item.operation = "wset";
-      item.params = wset_params(writes[idx].key, writes[idx].value);
-      calls.push_back(std::move(item));
-    }
-    std::vector<Result<Value>> results;
-    Status status = channel_to(node).invoke_batch(calls, results);
-    if (!status.ok() && status.error().code() == ErrorCode::kUnavailable) {
-      // The whole frame definitely did not execute: re-route each write
-      // individually through the owner walk.
-      for (std::size_t idx : group.write_idx) {
-        if (auto one = set(writes[idx].key, writes[idx].value); !one.ok()) return one;
+    const std::span<const std::size_t> all_idx = group.write_idx;
+    for (std::size_t first = 0; first < all_idx.size(); first += net::kMaxBatchCalls) {
+      const auto frame_idx = all_idx.subspan(
+          first, std::min<std::size_t>(net::kMaxBatchCalls, all_idx.size() - first));
+      std::vector<net::BatchItem> calls;
+      calls.reserve(frame_idx.size());
+      for (std::size_t idx : frame_idx) {
+        net::BatchItem item;
+        item.operation = "wset";
+        item.params = wset_params(writes[idx].key, writes[idx].value);
+        calls.push_back(std::move(item));
       }
-      continue;
-    }
-    if (!status.ok()) return status;
-    for (std::size_t r = 0; r < results.size(); ++r) {
-      const std::size_t idx = group.write_idx[r];
-      if (!results[r].ok()) return results[r].error();
-      auto reply = results[r]->as_string();
-      if (!reply.ok()) return reply.error();
-      auto version = parse_version(*reply);
-      if (!version.has_value()) {
-        return err::internal("bad wset version reply '" + *reply + "'");
+      std::vector<Result<Value>> results;
+      Status status = channel_to(node).invoke_batch(calls, results);
+      if (!status.ok() && status.error().code() == ErrorCode::kUnavailable) {
+        // The whole frame definitely did not execute: re-route each write
+        // individually through the owner walk.
+        for (std::size_t idx : frame_idx) {
+          if (auto one = set(writes[idx].key, writes[idx].value); !one.ok()) return one;
+        }
+        continue;
       }
-      const std::size_t shard = map->shard_of(writes[idx].key);
-      note_served(shard, node);
-      dvm::VersionedEntry entry{std::string(writes[idx].key),
-                                std::string(writes[idx].value), *version, false};
-      for (const std::string& owner : map->owners(shard)) {
-        if (owner == node) continue;
-        replication[owner].push_back(entry);
+      if (!status.ok()) return status;
+      for (std::size_t r = 0; r < results.size(); ++r) {
+        const std::size_t idx = frame_idx[r];
+        if (!results[r].ok()) return results[r].error();
+        auto reply = results[r]->as_string();
+        if (!reply.ok()) return reply.error();
+        auto version = parse_version(*reply);
+        if (!version.has_value()) {
+          return err::internal("bad wset version reply '" + *reply + "'");
+        }
+        const std::size_t shard = map->shard_of(writes[idx].key);
+        note_served(shard, node);
+        dvm::VersionedEntry entry{std::string(writes[idx].key),
+                                  std::string(writes[idx].value), *version, false};
+        for (const std::string& owner : map->owners(shard)) {
+          if (owner == node) continue;
+          replication[owner].push_back(entry);
+        }
       }
     }
   }
   for (auto& [owner, entries] : replication) {
-    std::vector<net::BatchItem> calls;
-    calls.reserve(entries.size());
-    for (const dvm::VersionedEntry& entry : entries) {
-      net::BatchItem item;
-      item.operation = "vset";
-      item.params = vset_params(entry);
-      calls.push_back(std::move(item));
-    }
-    std::vector<Result<Value>> results;
-    if (!channel_to(owner).invoke_batch(calls, results).ok()) {
-      // The whole frame missed this owner: park every leg as a hint.
-      for (const dvm::VersionedEntry& entry : entries) {
-        dvm_.park_hint(origin_.name(), owner, entry);
+    const std::span<const dvm::VersionedEntry> all = entries;
+    for (std::size_t first = 0; first < all.size(); first += net::kMaxBatchCalls) {
+      const auto frame = all.subspan(
+          first, std::min<std::size_t>(net::kMaxBatchCalls, all.size() - first));
+      std::vector<net::BatchItem> calls;
+      calls.reserve(frame.size());
+      for (const dvm::VersionedEntry& entry : frame) calls.push_back(dvm::vset_item(entry));
+      std::vector<Result<Value>> results;
+      if (!channel_to(owner).invoke_batch(calls, results).ok()) {
+        // The whole frame missed this owner: park every leg as a hint.
+        for (const dvm::VersionedEntry& entry : frame) {
+          dvm_.park_hint(origin_.name(), owner, entry);
+        }
+        continue;
       }
-      continue;
-    }
-    for (std::size_t r = 0; r < results.size() && r < entries.size(); ++r) {
-      if (!results[r].ok()) dvm_.park_hint(origin_.name(), owner, entries[r]);
+      for (std::size_t r = 0; r < results.size() && r < frame.size(); ++r) {
+        if (!results[r].ok()) dvm_.park_hint(origin_.name(), owner, frame[r]);
+      }
     }
   }
   return Status::success();

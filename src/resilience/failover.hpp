@@ -21,6 +21,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "container/container.hpp"
@@ -56,6 +57,13 @@ class FailoverChannel final : public net::Channel {
   const std::string& current_node() const { return current_node_; }
 
  private:
+  /// The one sticky-primary replica walk behind invoke() and
+  /// invoke_batch(). `attempt` makes the call on a candidate channel and
+  /// returns its Result<Value> or Status; only kUnavailable moves the walk
+  /// to the next replica, and an exhausted walk is kTimeout.
+  template <typename Attempt>
+  auto call_with_failover(Attempt&& attempt)
+      -> decltype(attempt(std::declval<net::Channel&>()));
   Result<std::unique_ptr<net::Channel>> open_candidate(const wsdl::Definitions& defs);
   std::string node_of(const net::Channel& channel) const;
 

@@ -1,21 +1,10 @@
 #include "resilience/resilient_channel.hpp"
 
-#include <charconv>
+#include <algorithm>
+
+#include "transport/batch.hpp"
 
 namespace h2::resil {
-
-namespace {
-
-// "h2c-<serial>" without the std::to_string round trip — this runs on
-// every resilient call, so the stamp should cost one SSO string at most.
-std::string stamp_call_id(std::uint64_t serial) {
-  char buf[24] = {'h', '2', 'c', '-'};
-  auto [end, ec] = std::to_chars(buf + 4, buf + sizeof(buf), serial);
-  (void)ec;  // 20 digits always fit
-  return std::string(buf, end);
-}
-
-}  // namespace
 
 ResilientChannel::ResilientChannel(std::unique_ptr<net::Channel> inner,
                                    net::Transport& net, CallPolicy policy,
@@ -36,27 +25,19 @@ void ResilientChannel::set_call_id(std::string id) {
   forced_call_id_ = std::move(id);
 }
 
-Result<Value> ResilientChannel::invoke(std::string_view operation,
-                                       std::span<const Value> params) {
+template <typename Attempt>
+auto ResilientChannel::call_with_retries(std::string_view label, Attempt&& attempt)
+    -> decltype(attempt()) {
   const Nanos start = net_.now();
-  if (policy_.attach_call_id) {
-    std::string call_id = forced_call_id_.empty()
-                              ? stamp_call_id(net_.next_call_serial())
-                              : forced_call_id_;
-    // Every retry of this logical call re-sends the SAME id — that is the
-    // whole at-most-once contract with the server's DedupCache.
-    inner_->set_call_id(std::move(call_id));
-  }
-
   last_attempts_ = 0;
   bool maybe_exec = false;
   Error last_error = err::unavailable("no attempt made");
-  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
+  for (int attempt_no = 1; attempt_no <= policy_.max_attempts; ++attempt_no) {
     if (policy_.deadline > 0 && net_.now() - start >= policy_.deadline) {
       c_deadline_.add();
       return Error(ErrorCode::kTimeout,
-                   "deadline exceeded calling '" + std::string(operation) +
-                       "' on " + endpoint_key_ + " (" + last_error.message() + ")");
+                   "deadline exceeded calling '" + std::string(label) + "' on " +
+                       endpoint_key_ + " (" + last_error.message() + ")");
     }
     if (breaker_ != nullptr && !breaker_->allow(net_.now())) {
       c_fastfail_.add();
@@ -66,22 +47,22 @@ Result<Value> ResilientChannel::invoke(std::string_view operation,
     } else {
       ++last_attempts_;
       if (last_attempts_ > 1) c_retries_.add();
-      auto result = inner_->invoke(operation, params);
+      auto outcome = attempt();
       const Nanos after = net_.now();
-      if (result.ok()) {
+      if (outcome.ok()) {
         if (breaker_ != nullptr) breaker_->record(true, after);
-        return result;
+        return outcome;
       }
-      const ErrorCode code = result.error().code();
+      const ErrorCode code = outcome.error().code();
       // Application-level answers (kNotFound, a SOAP fault, ...) mean the
       // host is healthy: success for the breaker, final for the caller.
       if (breaker_ != nullptr) breaker_->record(!transient(code), after);
-      if (!transient(code)) return result;
+      if (!transient(code)) return outcome;
       if (maybe_executed(code)) maybe_exec = true;
-      last_error = result.error();
+      last_error = outcome.error();
     }
-    if (attempt < policy_.max_attempts) {
-      net_.sleep_for(backoff_delay(policy_, attempt, rng_));
+    if (attempt_no < policy_.max_attempts) {
+      net_.sleep_for(backoff_delay(policy_, attempt_no, rng_));
     }
   }
 
@@ -89,11 +70,24 @@ Result<Value> ResilientChannel::invoke(std::string_view operation,
     // Some attempt may have reached the dispatcher; only a same-id retry
     // (not a failover) would be safe, and the budget is spent.
     return Error(ErrorCode::kTimeout,
-                 "retries exhausted calling '" + std::string(operation) + "' on " +
+                 "retries exhausted calling '" + std::string(label) + "' on " +
                      endpoint_key_ + "; a reply was lost (" + last_error.message() + ")");
   }
-  return last_error.context("retries exhausted calling '" + std::string(operation) +
+  return last_error.context("retries exhausted calling '" + std::string(label) +
                             "' on " + endpoint_key_);
+}
+
+Result<Value> ResilientChannel::invoke(std::string_view operation,
+                                       std::span<const Value> params) {
+  if (policy_.attach_call_id) {
+    // Every retry of this logical call re-sends the SAME id — that is the
+    // whole at-most-once contract with the server's DedupCache.
+    inner_->set_call_id(forced_call_id_.empty()
+                            ? net::stamp_call_id(net_.next_call_serial())
+                            : forced_call_id_);
+  }
+  return call_with_retries(operation,
+                           [&] { return inner_->invoke(operation, params); });
 }
 
 Status ResilientChannel::invoke_batch(std::span<const net::BatchItem> calls,
@@ -108,69 +102,21 @@ Status ResilientChannel::invoke_batch(std::span<const net::BatchItem> calls,
   // so all re-sends carry the SAME ids.
   std::vector<net::BatchItem> stamped;
   std::span<const net::BatchItem> effective = calls;
-  if (policy_.attach_call_id) {
-    bool missing = false;
-    for (const net::BatchItem& item : calls) {
-      if (item.call_id.empty()) {
-        missing = true;
-        break;
-      }
+  if (policy_.attach_call_id &&
+      std::any_of(calls.begin(), calls.end(),
+                  [](const net::BatchItem& item) { return item.call_id.empty(); })) {
+    stamped.assign(calls.begin(), calls.end());
+    for (net::BatchItem& item : stamped) {
+      if (item.call_id.empty()) item.call_id = net::stamp_call_id(net_.next_call_serial());
     }
-    if (missing) {
-      stamped.assign(calls.begin(), calls.end());
-      for (net::BatchItem& item : stamped) {
-        if (item.call_id.empty()) item.call_id = stamp_call_id(net_.next_call_serial());
-      }
-      effective = stamped;
-    }
+    effective = stamped;
   }
 
   const std::string label = "batch[" + std::to_string(calls.size()) + "]";
-  const Nanos start = net_.now();
-  last_attempts_ = 0;
-  bool maybe_exec = false;
-  Error last_error = err::unavailable("no attempt made");
-  auto fail = [&](Error error) -> Status {
-    results.assign(calls.size(), Result<Value>(error));
-    return Status(std::move(error));
-  };
-  for (int attempt = 1; attempt <= policy_.max_attempts; ++attempt) {
-    if (policy_.deadline > 0 && net_.now() - start >= policy_.deadline) {
-      c_deadline_.add();
-      return fail(Error(ErrorCode::kTimeout,
-                        "deadline exceeded calling '" + label + "' on " +
-                            endpoint_key_ + " (" + last_error.message() + ")"));
-    }
-    if (breaker_ != nullptr && !breaker_->allow(net_.now())) {
-      c_fastfail_.add();
-      last_error = err::unavailable("circuit open for " + endpoint_key_);
-    } else {
-      ++last_attempts_;
-      if (last_attempts_ > 1) c_retries_.add();
-      Status status = inner_->invoke_batch(effective, results);
-      const Nanos after = net_.now();
-      if (status.ok()) {
-        if (breaker_ != nullptr) breaker_->record(true, after);
-        return status;
-      }
-      const ErrorCode code = status.error().code();
-      if (breaker_ != nullptr) breaker_->record(!transient(code), after);
-      if (!transient(code)) return fail(status.error());
-      if (maybe_executed(code)) maybe_exec = true;
-      last_error = status.error();
-    }
-    if (attempt < policy_.max_attempts) {
-      net_.sleep_for(backoff_delay(policy_, attempt, rng_));
-    }
-  }
-
-  if (maybe_exec) {
-    return fail(Error(ErrorCode::kTimeout,
-                      "retries exhausted calling '" + label + "' on " + endpoint_key_ +
-                          "; a reply was lost (" + last_error.message() + ")"));
-  }
-  return fail(last_error.context("retries exhausted calling '" + label + "' on " +
-                                 endpoint_key_));
+  Status status = call_with_retries(
+      label, [&] { return inner_->invoke_batch(effective, results); });
+  if (!status.ok()) results.assign(calls.size(), Result<Value>(status.error()));
+  return status;
 }
 
 std::unique_ptr<net::Channel> make_resilient_channel(

@@ -53,6 +53,15 @@ class ResilientChannel final : public net::Channel {
   int last_attempts() const { return last_attempts_; }
 
  private:
+  /// The one deadline/breaker/retry/backoff loop behind invoke() and
+  /// invoke_batch(). `attempt` makes one inner call and returns its
+  /// Result<Value> or Status; the loop returns the first success or
+  /// application answer, else the exhaustion error. `label` names the
+  /// call in error messages ('op' or 'batch[N]').
+  template <typename Attempt>
+  auto call_with_retries(std::string_view label, Attempt&& attempt)
+      -> decltype(attempt());
+
   std::unique_ptr<net::Channel> inner_;
   net::Transport& net_;
   CallPolicy policy_;

@@ -4,19 +4,14 @@
 
 namespace h2::net {
 
-namespace {
-
-// Same shape the resilience layer stamps ("h2c-<serial>"): ids drawn from
-// one network serial stream are unique across every channel of a world,
-// so a batch sub-call and a singleton retry can never collide.
+// Formatted without the std::to_string round trip: this runs on every
+// stamped call, so the stamp should cost one SSO string at most.
 std::string stamp_call_id(std::uint64_t serial) {
   char buf[24] = {'h', '2', 'c', '-'};
   auto [end, ec] = std::to_chars(buf + 4, buf + sizeof(buf), serial);
   (void)ec;  // 20 digits always fit
   return std::string(buf, end);
 }
-
-}  // namespace
 
 BatchChannel::BatchChannel(std::unique_ptr<Channel> inner, Transport& net,
                            BatchPolicy policy)

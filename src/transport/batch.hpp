@@ -14,11 +14,18 @@
 #include <cstddef>
 #include <deque>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "transport/rpc.hpp"
 
 namespace h2::net {
+
+/// The idempotency key every stamping client attaches: "h2c-<serial>".
+/// Serials come from one Transport::next_call_serial() stream, so ids are
+/// unique across every channel of a network — a batch sub-call and a
+/// singleton retry can never collide.
+std::string stamp_call_id(std::uint64_t serial);
 
 /// When a BatchChannel flushes on its own.
 struct BatchPolicy {

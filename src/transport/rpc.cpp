@@ -1,5 +1,7 @@
 #include "transport/rpc.hpp"
 
+#include <algorithm>
+
 #include "obs/trace.hpp"
 #include "resilience/dedup.hpp"
 #include "soap/envelope.hpp"
@@ -24,8 +26,22 @@ const char* fault_code_for(ErrorCode code) {
   }
 }
 
-ErrorCode error_code_for_fault(const std::string& fault_code) {
-  return fault_code == "Client" ? ErrorCode::kInvalidArgument : ErrorCode::kUnavailable;
+/// A fault as the caller sees it: Client faults are the caller's mistake
+/// (kInvalidArgument), everything else is kUnavailable.
+Error fault_error(const soap::Fault& fault, std::string_view prefix = "soap fault: ") {
+  return Error(fault.code == "Client" ? ErrorCode::kInvalidArgument
+                                      : ErrorCode::kUnavailable,
+               std::string(prefix) + fault.describe());
+}
+
+/// A plain (non-mustUnderstand) SOAP header entry.
+soap::HeaderEntry plain_header(std::string_view name, std::string_view ns,
+                               std::string value) {
+  soap::HeaderEntry entry;
+  entry.name = std::string(name);
+  entry.ns = std::string(ns);
+  entry.value = std::move(value);
+  return entry;
 }
 
 // ---- batching helpers ---------------------------------------------------------
@@ -33,7 +49,6 @@ ErrorCode error_code_for_fault(const std::string& fault_code) {
 /// Gives every pending sub-call the same transport-level verdict.
 void fill_results(std::vector<Result<Value>>& results, std::size_t count,
                   const Error& error) {
-  results.clear();
   results.assign(count, Result<Value>(error));
 }
 
@@ -89,29 +104,20 @@ ByteBuffer serve_batch_frame(std::span<const std::uint8_t> raw,
 
 /// Client half: turns the server's answer into per-call results. Accepts
 /// either an "H2RZ" frame (count must match) or a bare "H2RP" error reply
-/// covering the whole batch.
+/// covering the whole batch; on failure `results` is the caller's to fill.
 Status demux_batch_reply(std::span<const std::uint8_t> bytes, std::size_t expected,
                          std::vector<Result<Value>>& results) {
   if (!is_batch_reply(bytes)) {
     auto outcome = unmarshal_reply(bytes);
-    Error error = outcome.ok()
-                      ? Error(ErrorCode::kParseError,
-                              "xdr frame: singleton reply to a batch call")
-                      : outcome.error();
-    fill_results(results, expected, error);
-    return error;
+    if (!outcome.ok()) return outcome.error();
+    return Error(ErrorCode::kParseError, "xdr frame: singleton reply to a batch call");
   }
   auto frames = split_batch_reply(bytes);
-  if (!frames.ok()) {
-    fill_results(results, expected, frames.error());
-    return frames.error();
-  }
+  if (!frames.ok()) return frames.error();
   if (frames->size() != expected) {
-    Error error(ErrorCode::kParseError,
-                "xdr frame: batch reply count " + std::to_string(frames->size()) +
-                    " != request count " + std::to_string(expected));
-    fill_results(results, expected, error);
-    return error;
+    return Error(ErrorCode::kParseError,
+                 "xdr frame: batch reply count " + std::to_string(frames->size()) +
+                     " != request count " + std::to_string(expected));
   }
   results.clear();
   results.reserve(expected);
@@ -153,51 +159,32 @@ class XdrChannel final : public Channel {
 
   Result<Value> invoke(std::string_view operation,
                        std::span<const Value> params) override {
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) return host.error();
-    // Marshal into a pooled buffer: after the first few calls the frame
-    // capacity is recycled instead of reallocated per call.
-    enc::XdrWriter writer(net_.buffer_pool().acquire());
-    marshal_call_into(writer, operation, params, call_id_);
-    ByteBuffer frame = writer.take();
-    stats_ = CallStats{.entities_traversed = 4,  // stub, socket, skeleton, dispatcher
-                       .request_bytes = frame.size(),
-                       .response_bytes = 0};
-    auto response = net_.call(from_, *host, to_.port, frame.bytes());
-    net_.buffer_pool().release(std::move(frame));
-    if (!response.ok()) return response.error().context("xdr call " + std::string(operation));
-    stats_.response_bytes = response->size();
-    // unmarshal_reply borrows the response bytes (the decoded Value owns
-    // its own storage), so the reply buffer can be recycled immediately.
-    auto reply = unmarshal_reply(response->bytes());
-    net_.buffer_pool().release(std::move(*response));
-    return reply;
+    return round_trip(
+        "xdr call ", operation,
+        [&](ByteBuffer scratch) {
+          enc::XdrWriter writer(std::move(scratch));
+          marshal_call_into(writer, operation, params, call_id_);
+          return writer.take();
+        },
+        // unmarshal_reply borrows the response bytes (the decoded Value
+        // owns its own storage), so the reply buffer can be recycled.
+        [](std::span<const std::uint8_t> reply) { return unmarshal_reply(reply); });
   }
 
   Status invoke_batch(std::span<const BatchItem> calls,
                       std::vector<Result<Value>>& results) override {
-    results.clear();
-    if (calls.empty()) return Status::success();
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) {
-      fill_results(results, calls.size(), host.error());
-      return host.error();
+    if (calls.empty()) {
+      results.clear();
+      return Status::success();
     }
-    ByteBuffer frame = marshal_batch_call(calls, net_.buffer_pool().acquire());
-    stats_ = CallStats{.entities_traversed = 4,
-                       .request_bytes = frame.size(),
-                       .response_bytes = 0};
-    auto response = net_.call(from_, *host, to_.port, frame.bytes());
-    net_.buffer_pool().release(std::move(frame));
-    if (!response.ok()) {
-      Error error = response.error().context("xdr batch");
-      fill_results(results, calls.size(), error);
-      return error;
-    }
-    stats_.response_bytes = response->size();
-    Status verdict = demux_batch_reply(response->bytes(), calls.size(), results);
-    net_.buffer_pool().release(std::move(*response));
-    return verdict;
+    Status status = round_trip(
+        "xdr batch", {},
+        [&](ByteBuffer scratch) { return marshal_batch_call(calls, std::move(scratch)); },
+        [&](std::span<const std::uint8_t> reply) {
+          return demux_batch_reply(reply, calls.size(), results);
+        });
+    if (!status.ok()) fill_results(results, calls.size(), status.error());
+    return status;
   }
 
   const char* binding_name() const override { return "xdr"; }
@@ -206,6 +193,30 @@ class XdrChannel final : public Channel {
   const Endpoint* remote() const override { return &to_; }
 
  private:
+  /// The one wire round trip behind invoke() and invoke_batch(): resolve,
+  /// `marshal` the frame into a pooled buffer, call, and `decode` the
+  /// reply bytes before they go back to the pool. A transport error is
+  /// prefixed with `what` + `operation`.
+  template <typename Marshal, typename Decode>
+  auto round_trip(std::string_view what, std::string_view operation, Marshal&& marshal,
+                  Decode&& decode) -> decltype(decode(std::span<const std::uint8_t>{})) {
+    auto host = net_.resolve(to_.host);
+    if (!host.ok()) return host.error();
+    // Marshal into a pooled buffer: after the first few calls the frame
+    // capacity is recycled instead of reallocated per call.
+    ByteBuffer frame = marshal(net_.buffer_pool().acquire());
+    stats_ = CallStats{.entities_traversed = 4,  // stub, socket, skeleton, dispatcher
+                       .request_bytes = frame.size(),
+                       .response_bytes = 0};
+    auto response = net_.call(from_, *host, to_.port, frame.bytes());
+    net_.buffer_pool().release(std::move(frame));
+    if (!response.ok()) return response.error().context(std::string(what).append(operation));
+    stats_.response_bytes = response->size();
+    auto reply = decode(response->bytes());
+    net_.buffer_pool().release(std::move(*response));
+    return reply;
+  }
+
   Transport& net_;
   HostId from_;
   Endpoint to_;
@@ -213,232 +224,188 @@ class XdrChannel final : public Channel {
   CallStats stats_;
 };
 
-class SoapChannel final : public Channel {
+/// Base of the HTTP-framed bindings (soap, http, mime): each builds its own
+/// request body and applies its own status-code rule, and all three share
+/// the one POST round trip in post().
+class HttpFramedChannel : public Channel {
+ public:
+  CallStats last_stats() const override { return stats_; }
+  const Endpoint* remote() const override { return &to_; }
+
+ protected:
+  /// `response_what` prefixes the error of an unparseable HTTP response.
+  HttpFramedChannel(Transport& net, HostId from, Endpoint to, const char* response_what)
+      : net_(net), from_(from), to_(std::move(to)), response_what_(response_what) {}
+
+  /// Resolves the endpoint, POSTs `request` to its path, and parses the
+  /// response. `entities` is the binding's hop count for CallStats; a
+  /// transport error is prefixed with `what` + `operation`.
+  Result<http::Response> post(http::Request& request, int entities, std::string_view what,
+                              std::string_view operation) {
+    auto host = net_.resolve(to_.host);
+    if (!host.ok()) return host.error();
+    request.target = "/" + to_.path;
+    ByteBuffer wire = request.serialize(to_.host);
+    stats_ = CallStats{.entities_traversed = entities,
+                       .request_bytes = wire.size(),
+                       .response_bytes = 0};
+    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
+    if (!raw.ok()) return raw.error().context(std::string(what).append(operation));
+    stats_.response_bytes = raw->size();
+    auto response = http::parse_response(raw->bytes());
+    if (!response.ok()) return response.error().context(response_what_);
+    return response;
+  }
+
+  Transport& net_;
+  HostId from_;
+  Endpoint to_;
+  const char* response_what_;
+  CallStats stats_;
+};
+
+class SoapChannel final : public HttpFramedChannel {
  public:
   SoapChannel(Transport& net, HostId from, Endpoint to, std::string service_ns)
-      : net_(net), from_(from), to_(std::move(to)), service_ns_(std::move(service_ns)) {}
+      : HttpFramedChannel(net, from, std::move(to), "soap http response"),
+        service_ns_(std::move(service_ns)) {}
 
   Result<Value> invoke(std::string_view operation,
                        std::span<const Value> params) override {
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) return host.error();
-
-    http::Request request;
-    request.method = "POST";
-    request.target = "/" + to_.path;
-    request.headers.set("Content-Type", "text/xml; charset=utf-8");
-    request.headers.set("SOAPAction", "\"" + service_ns_ + "#" + std::string(operation) + "\"");
-    // Build into the channel's scratch buffer so steady-state calls reuse
-    // its capacity, then lend it to the request for serialization. When a
-    // span is open on this thread, its context rides along as a
-    // non-mustUnderstand <h2:Trace> header so the serving host can
-    // continue the trace.
-    headers_.clear();
-    obs::TraceContext trace = obs::Tracer::current();
-    if (trace.valid()) {
-      soap::HeaderEntry trace_header;
-      trace_header.name = std::string(obs::kTraceHeaderName);
-      trace_header.ns = std::string(obs::kTraceHeaderNs);
-      trace_header.value = obs::encode_trace_header(trace);
-      headers_.push_back(std::move(trace_header));
-    }
-    if (!call_id_.empty()) {
-      // Idempotency key, same non-mustUnderstand shape as Trace: servers
-      // without dedup simply ignore it.
-      soap::HeaderEntry id_header;
-      id_header.name = std::string(resil::kCallIdHeaderName);
-      id_header.ns = std::string(resil::kCallIdHeaderNs);
-      id_header.value = call_id_;
-      headers_.push_back(std::move(id_header));
-    }
-    soap::build_request_into(envelope_, operation, service_ns_, params, headers_);
-    request.body = std::move(envelope_);
-    ByteBuffer wire = request.serialize(to_.host);
-    envelope_ = std::move(request.body);
-
-    // stub, soap encoder, http client, socket, http server, soap decoder
-    // = 6 entities before the dispatcher runs.
-    stats_ = CallStats{.entities_traversed = 6,
-                       .request_bytes = wire.size(),
-                       .response_bytes = 0};
-
-    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
-    if (!raw.ok()) return raw.error().context("soap call " + std::string(operation));
-    stats_.response_bytes = raw->size();
-
-    auto response = http::parse_response(raw->bytes());
-    if (!response.ok()) return response.error().context("soap http response");
-    if (response->status != 200 && response->status != 500) {
-      return err::unavailable("soap: http status " + std::to_string(response->status) +
-                              " " + response->reason);
-    }
-    auto reply = soap::parse_reply(response->body);
-    if (!reply.ok()) return reply.error();
-    if (reply->is_fault()) {
-      return Error(error_code_for_fault(reply->fault().code),
-                   "soap fault: " + reply->fault().describe());
-    }
-    return std::move(*reply).value();
+    return round_trip(
+        operation, "soap call ", operation,
+        [&] {
+          if (!call_id_.empty()) {
+            // Idempotency key, same non-mustUnderstand shape as Trace:
+            // servers without dedup simply ignore it.
+            headers_.push_back(
+                plain_header(resil::kCallIdHeaderName, resil::kCallIdHeaderNs, call_id_));
+          }
+          soap::build_request_into(envelope_, operation, service_ns_, params, headers_);
+        },
+        [](std::string_view body) -> Result<Value> {
+          auto reply = soap::parse_reply(body);
+          if (!reply.ok()) return reply.error();
+          if (reply->is_fault()) return fault_error(reply->fault());
+          return std::move(*reply).value();
+        });
   }
 
   Status invoke_batch(std::span<const BatchItem> calls,
                       std::vector<Result<Value>>& results) override {
-    results.clear();
-    if (calls.empty()) return Status::success();
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) {
-      fill_results(results, calls.size(), host.error());
-      return host.error();
+    if (calls.empty()) {
+      results.clear();
+      return Status::success();
     }
-
-    http::Request request;
-    request.method = "POST";
-    request.target = "/" + to_.path;
-    request.headers.set("Content-Type", "text/xml; charset=utf-8");
-    request.headers.set("SOAPAction", "\"" + service_ns_ + "#batch\"");
-    headers_.clear();
-    obs::TraceContext trace = obs::Tracer::current();
-    if (trace.valid()) {
-      soap::HeaderEntry trace_header;
-      trace_header.name = std::string(obs::kTraceHeaderName);
-      trace_header.ns = std::string(obs::kTraceHeaderNs);
-      trace_header.value = obs::encode_trace_header(trace);
-      headers_.push_back(std::move(trace_header));
-    }
-    // The batch marker: count + comma-joined per-sub-call idempotency keys
-    // (position i names sub-call i; empty slots mean "no key"). Both are
-    // plain non-mustUnderstand headers.
-    soap::HeaderEntry count_header;
-    count_header.name = kBatchCountHeaderName;
-    count_header.ns = kBatchHeaderNs;
-    count_header.value = std::to_string(calls.size());
-    headers_.push_back(std::move(count_header));
-    bool any_ids = false;
-    for (const BatchItem& item : calls) any_ids = any_ids || !item.call_id.empty();
-    if (any_ids) {
-      soap::HeaderEntry ids_header;
-      ids_header.name = kBatchIdsHeaderName;
-      ids_header.ns = kBatchHeaderNs;
-      for (std::size_t i = 0; i < calls.size(); ++i) {
-        if (i > 0) ids_header.value += ',';
-        ids_header.value += calls[i].call_id;
-      }
-      headers_.push_back(std::move(ids_header));
-    }
-
-    batch_scratch_.clear();
-    batch_scratch_.reserve(calls.size());
-    for (const BatchItem& item : calls) {
-      batch_scratch_.push_back({item.operation, item.params});
-    }
-    soap::build_batch_request_into(envelope_, service_ns_, batch_scratch_, headers_);
-    request.body = std::move(envelope_);
-    ByteBuffer wire = request.serialize(to_.host);
-    envelope_ = std::move(request.body);
-    stats_ = CallStats{.entities_traversed = 6,
-                       .request_bytes = wire.size(),
-                       .response_bytes = 0};
-
-    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
-    if (!raw.ok()) {
-      Error error = raw.error().context("soap batch");
-      fill_results(results, calls.size(), error);
-      return error;
-    }
-    stats_.response_bytes = raw->size();
-
-    auto response = http::parse_response(raw->bytes());
-    if (!response.ok()) {
-      Error error = response.error().context("soap http response");
-      fill_results(results, calls.size(), error);
-      return error;
-    }
-    if (response->status != 200 && response->status != 500) {
-      Error error = err::unavailable("soap: http status " +
-                                     std::to_string(response->status) + " " +
-                                     response->reason);
-      fill_results(results, calls.size(), error);
-      return error;
-    }
-    auto replies = soap::parse_batch_reply(response->body);
-    if (!replies.ok()) {
-      fill_results(results, calls.size(), replies.error());
-      return replies.error();
-    }
-    if (replies->size() != calls.size()) {
-      // A single fault element answering a multi-call batch is a
-      // whole-envelope rejection (bad request, MustUnderstand, ...).
-      if (replies->size() == 1 && (*replies)[0].is_fault()) {
-        const soap::Fault& f = (*replies)[0].fault();
-        Error error(error_code_for_fault(f.code), "soap fault: " + f.describe());
-        fill_results(results, calls.size(), error);
-        return error;
-      }
-      Error error(ErrorCode::kParseError,
-                  "soap: batch reply count " + std::to_string(replies->size()) +
-                      " != request count " + std::to_string(calls.size()));
-      fill_results(results, calls.size(), error);
-      return error;
-    }
-    results.reserve(calls.size());
-    for (soap::RpcReply& reply : *replies) {
-      if (reply.is_fault()) {
-        results.push_back(Result<Value>(Error(error_code_for_fault(reply.fault().code),
-                                              "soap fault: " + reply.fault().describe())));
-      } else {
-        results.push_back(Result<Value>(std::move(reply).value()));
-      }
-    }
-    return Status::success();
+    Status status = round_trip(
+        "batch", "soap batch", {},
+        [&] {
+          // The batch marker: count + comma-joined per-sub-call idempotency
+          // keys (position i names sub-call i; empty slots mean "no key").
+          // Both are plain non-mustUnderstand headers.
+          headers_.push_back(plain_header(kBatchCountHeaderName, kBatchHeaderNs,
+                                          std::to_string(calls.size())));
+          if (std::any_of(calls.begin(), calls.end(),
+                          [](const BatchItem& item) { return !item.call_id.empty(); })) {
+            std::string ids;
+            for (std::size_t i = 0; i < calls.size(); ++i) {
+              if (i > 0) ids += ',';
+              ids += calls[i].call_id;
+            }
+            headers_.push_back(plain_header(kBatchIdsHeaderName, kBatchHeaderNs, std::move(ids)));
+          }
+          batch_scratch_.clear();
+          batch_scratch_.reserve(calls.size());
+          for (const BatchItem& item : calls) {
+            batch_scratch_.push_back({item.operation, item.params});
+          }
+          soap::build_batch_request_into(envelope_, service_ns_, batch_scratch_, headers_);
+        },
+        [&](std::string_view body) -> Status {
+          auto replies = soap::parse_batch_reply(body);
+          if (!replies.ok()) return replies.error();
+          if (replies->size() != calls.size()) {
+            // A single fault element answering a multi-call batch is a
+            // whole-envelope rejection (bad request, MustUnderstand, ...).
+            if (replies->size() == 1 && (*replies)[0].is_fault()) {
+              return fault_error((*replies)[0].fault());
+            }
+            return Error(ErrorCode::kParseError,
+                         "soap: batch reply count " + std::to_string(replies->size()) +
+                             " != request count " + std::to_string(calls.size()));
+          }
+          results.clear();
+          results.reserve(calls.size());
+          for (soap::RpcReply& reply : *replies) {
+            results.push_back(reply.is_fault() ? Result<Value>(fault_error(reply.fault()))
+                                               : Result<Value>(std::move(reply).value()));
+          }
+          return Status::success();
+        });
+    if (!status.ok()) fill_results(results, calls.size(), status.error());
+    return status;
   }
 
   const char* binding_name() const override { return "soap"; }
-  CallStats last_stats() const override { return stats_; }
   void set_call_id(std::string call_id) override { call_id_ = std::move(call_id); }
-  const Endpoint* remote() const override { return &to_; }
 
  private:
-  Transport& net_;
-  HostId from_;
-  Endpoint to_;
+  /// The one SOAP exchange behind invoke() and invoke_batch(): the shared
+  /// headers, `build_envelope` (which adds the call's own headers to
+  /// headers_ and writes envelope_), the POST, the status-code rule, and
+  /// `decode` of the reply envelope. SOAPAction is "<ns>#<action>".
+  template <typename Build, typename Decode>
+  auto round_trip(std::string_view action, std::string_view what,
+                  std::string_view operation, Build&& build_envelope, Decode&& decode)
+      -> decltype(decode(std::string_view{})) {
+    http::Request request;
+    request.headers.set("Content-Type", "text/xml; charset=utf-8");
+    request.headers.set("SOAPAction", "\"" + service_ns_ + "#" + std::string(action) + "\"");
+    // Build into the channel's scratch buffers so steady-state calls reuse
+    // their capacity. When a span is open on this thread, its context
+    // rides along as a non-mustUnderstand <h2:Trace> header so the serving
+    // host can continue the trace.
+    headers_.clear();
+    obs::TraceContext trace = obs::Tracer::current();
+    if (trace.valid()) {
+      headers_.push_back(plain_header(obs::kTraceHeaderName, obs::kTraceHeaderNs,
+                                      obs::encode_trace_header(trace)));
+    }
+    build_envelope();
+    request.body = std::move(envelope_);
+    // stub, soap encoder, http client, socket, http server, soap decoder
+    // = 6 entities before the dispatcher runs.
+    auto response = post(request, 6, what, operation);
+    envelope_ = std::move(request.body);
+    if (!response.ok()) return response.error();
+    if (response->status != 200 && response->status != 500) {
+      return err::unavailable("soap: http status " + std::to_string(response->status) +
+                              " " + response->reason);
+    }
+    return decode(response->body);
+  }
+
   std::string service_ns_;
   std::string call_id_;
   std::string envelope_;  ///< reused request-envelope buffer
   std::vector<soap::HeaderEntry> headers_;  ///< reused header scratch
   std::vector<soap::BatchCall> batch_scratch_;  ///< reused batch-call views
-  CallStats stats_;
 };
 
-class HttpChannel final : public Channel {
+class HttpChannel final : public HttpFramedChannel {
  public:
   HttpChannel(Transport& net, HostId from, Endpoint to)
-      : net_(net), from_(from), to_(std::move(to)) {}
+      : HttpFramedChannel(net, from, std::move(to), "http response") {}
 
   Result<Value> invoke(std::string_view operation,
                        std::span<const Value> params) override {
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) return host.error();
-
     http::Request request;
-    request.method = "POST";
-    request.target = "/" + to_.path;
     request.headers.set("Content-Type", "application/octet-stream");
-    ByteBuffer frame = marshal_call(operation, params, call_id_);
-    request.body = frame.to_string();
-    ByteBuffer wire = request.serialize(to_.host);
-
+    request.body = marshal_call(operation, params, call_id_).to_string();
     // stub, http client, socket, http server, dispatcher — SOAP's two
     // XML codec entities are gone.
-    stats_ = CallStats{.entities_traversed = 5,
-                       .request_bytes = wire.size(),
-                       .response_bytes = 0};
-
-    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
-    if (!raw.ok()) return raw.error().context("http call " + std::string(operation));
-    stats_.response_bytes = raw->size();
-
-    auto response = http::parse_response(raw->bytes());
-    if (!response.ok()) return response.error().context("http response");
+    auto response = post(request, 5, "http call ", operation);
+    if (!response.ok()) return response.error();
     if (response->status != 200) {
       return err::unavailable("http: status " + std::to_string(response->status) + " " +
                               response->reason);
@@ -448,72 +415,43 @@ class HttpChannel final : public Channel {
   }
 
   const char* binding_name() const override { return "http"; }
-  CallStats last_stats() const override { return stats_; }
   void set_call_id(std::string call_id) override { call_id_ = std::move(call_id); }
-  const Endpoint* remote() const override { return &to_; }
 
  private:
-  Transport& net_;
-  HostId from_;
-  Endpoint to_;
   std::string call_id_;
-  CallStats stats_;
 };
 
-class MimeChannel final : public Channel {
+class MimeChannel final : public HttpFramedChannel {
  public:
   MimeChannel(Transport& net, HostId from, Endpoint to, std::string service_ns)
-      : net_(net), from_(from), to_(std::move(to)), service_ns_(std::move(service_ns)) {}
+      : HttpFramedChannel(net, from, std::move(to), "mime http response"),
+        service_ns_(std::move(service_ns)) {}
 
   Result<Value> invoke(std::string_view operation,
                        std::span<const Value> params) override {
-    auto host = net_.resolve(to_.host);
-    if (!host.ok()) return host.error();
-
     auto multipart = soap::build_mime_request(operation, service_ns_, params);
     http::Request request;
-    request.method = "POST";
-    request.target = "/" + to_.path;
     request.headers.set("Content-Type", multipart.content_type);
     request.body = multipart.body.to_string();
-    ByteBuffer wire = request.serialize(to_.host);
-
     // Same entity chain as SOAP (the envelope is still XML) — the win is
     // wire bytes and codec CPU, not hop count.
-    stats_ = CallStats{.entities_traversed = 6,
-                       .request_bytes = wire.size(),
-                       .response_bytes = 0};
-
-    auto raw = net_.call(from_, *host, to_.port, wire.bytes());
-    if (!raw.ok()) return raw.error().context("mime call " + std::string(operation));
-    stats_.response_bytes = raw->size();
-
-    auto response = http::parse_response(raw->bytes());
-    if (!response.ok()) return response.error().context("mime http response");
+    auto response = post(request, 6, "mime call ", operation);
+    if (!response.ok()) return response.error();
     auto reply = soap::parse_mime_reply(response->headers.get_or("content-type", ""),
                                         as_byte_span(response->body));
     if (!reply.ok()) return reply.error();
-    if (reply->is_fault()) {
-      return Error(error_code_for_fault(reply->fault().code),
-                   "mime fault: " + reply->fault().describe());
-    }
+    if (reply->is_fault()) return fault_error(reply->fault(), "mime fault: ");
     return std::move(*reply).value();
   }
 
   const char* binding_name() const override { return "mime"; }
-  CallStats last_stats() const override { return stats_; }
   // set_call_id stays the no-op default: the multipart request format has
   // no header slot for per-call metadata, so mime channels get retries
   // and breakers but not dedup (callers needing at-most-once pick another
   // binding).
-  const Endpoint* remote() const override { return &to_; }
 
  private:
-  Transport& net_;
-  HostId from_;
-  Endpoint to_;
   std::string service_ns_;
-  CallStats stats_;
 };
 
 }  // namespace
@@ -596,34 +534,29 @@ void SoapHttpServer::stop() {
   running_ = false;
 }
 
-Status SoapHttpServer::mount(std::string path, std::shared_ptr<Dispatcher> dispatcher) {
+Status SoapHttpServer::add_mount(std::string path, std::shared_ptr<Dispatcher> dispatcher,
+                                 MountKind kind) {
   if (!path.empty() && path.front() == '/') path.erase(0, 1);
   std::lock_guard lock(mounts_mu_);
   if (mounts_.count(path)) {
-    return err::already_exists("soap server: path '/" + path + "' already mounted");
+    return err::already_exists(
+        std::string(kind == MountKind::kSoap ? "soap server" : "http server") +
+        ": path '/" + path + "' already mounted");
   }
-  mounts_[std::move(path)] = Mount{std::move(dispatcher), MountKind::kSoap};
+  mounts_[std::move(path)] = Mount{std::move(dispatcher), kind};
   return Status::success();
+}
+
+Status SoapHttpServer::mount(std::string path, std::shared_ptr<Dispatcher> dispatcher) {
+  return add_mount(std::move(path), std::move(dispatcher), MountKind::kSoap);
 }
 
 Status SoapHttpServer::mount_raw(std::string path, std::shared_ptr<Dispatcher> dispatcher) {
-  if (!path.empty() && path.front() == '/') path.erase(0, 1);
-  std::lock_guard lock(mounts_mu_);
-  if (mounts_.count(path)) {
-    return err::already_exists("http server: path '/" + path + "' already mounted");
-  }
-  mounts_[std::move(path)] = Mount{std::move(dispatcher), MountKind::kRaw};
-  return Status::success();
+  return add_mount(std::move(path), std::move(dispatcher), MountKind::kRaw);
 }
 
 Status SoapHttpServer::mount_mime(std::string path, std::shared_ptr<Dispatcher> dispatcher) {
-  if (!path.empty() && path.front() == '/') path.erase(0, 1);
-  std::lock_guard lock(mounts_mu_);
-  if (mounts_.count(path)) {
-    return err::already_exists("http server: path '/" + path + "' already mounted");
-  }
-  mounts_[std::move(path)] = Mount{std::move(dispatcher), MountKind::kMime};
-  return Status::success();
+  return add_mount(std::move(path), std::move(dispatcher), MountKind::kMime);
 }
 
 Status SoapHttpServer::unmount(std::string_view path) {
@@ -707,9 +640,7 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
         reply = soap::build_mime_response(call->operation, call->service_ns, *result);
       }
     }
-    http::Response response;
-    response.status = status_code;
-    response.reason = std::string(http::reason_for(status_code));
+    http::Response response = make_response(status_code);
     response.headers.set("Content-Type", reply.content_type);
     response.body = reply.body.to_string();
     return response.serialize();
@@ -719,31 +650,27 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     // The http binding: XDR call frame in, XDR reply frame out; dispatch
     // errors travel in-band inside the reply frame. The body is viewed in
     // place — no per-request copy.
+    auto octet_response = [&](const ByteBuffer& reply) {
+      http::Response response = make_response(200);
+      response.headers.set("Content-Type", "application/octet-stream");
+      response.body = reply.to_string();
+      return response.serialize();
+    };
     std::span<const std::uint8_t> body = as_byte_span(request->body);
     if (is_batch_call(body)) {
       ByteBuffer reply = serve_batch_frame(body, *dispatcher, dedup.get(),
                                            net_.buffer_pool().acquire());
-      http::Response response;
-      response.status = 200;
-      response.reason = "OK";
-      response.headers.set("Content-Type", "application/octet-stream");
-      response.body = reply.to_string();
+      ByteBuffer wire = octet_response(reply);
       net_.buffer_pool().release(std::move(reply));
-      return response.serialize();
+      return wire;
     }
     auto call = unmarshal_call(body);
     if (call.ok() && dedup && !call->call_id.empty()) {
       if (auto cached = dedup->lookup(call->call_id)) return std::move(*cached);
     }
-    ByteBuffer reply =
+    ByteBuffer wire = octet_response(
         call.ok() ? marshal_reply(dispatcher->dispatch(call->operation, call->params))
-                  : marshal_reply(Result<Value>(call.error()));
-    http::Response response;
-    response.status = 200;
-    response.reason = "OK";
-    response.headers.set("Content-Type", "application/octet-stream");
-    response.body = reply.to_string();
-    ByteBuffer wire = response.serialize();
+                  : marshal_reply(Result<Value>(call.error())));
     if (call.ok() && dedup && !call->call_id.empty()) {
       dedup->store(call->call_id, wire.bytes());
     }
@@ -781,6 +708,20 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     }
   }
 
+  // Each operation runs under a server span; its name string is built
+  // only when it will be recorded (tracing is usually off).
+  auto dispatch_traced = [&](const soap::BatchRpcCall::Call& op) {
+    obs::Span span;
+    if (net_.tracer().enabled()) {
+      span = net_.tracer().start_span("soap.serve." + op.operation, remote_parent);
+      if (span.active()) span.annotate("host=" + net_.host_name(host_));
+    }
+    auto result = dispatcher->dispatch(op.operation, op.params);
+    span.set_ok(result.ok());
+    span.finish();
+    return result;
+  };
+
   if (batch_count.empty()) {
     // Singleton path, unchanged semantics.
     if (call->calls.size() != 1) {
@@ -791,15 +732,7 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     if (dedup && !call_id.empty()) {
       if (auto cached = dedup->lookup(call_id)) return std::move(*cached);
     }
-    // Name string only when it will be recorded (tracing is usually off).
-    obs::Span span;
-    if (net_.tracer().enabled()) {
-      span = net_.tracer().start_span("soap.serve." + single.operation, remote_parent);
-      if (span.active()) span.annotate("host=" + net_.host_name(host_));
-    }
-    auto result = dispatcher->dispatch(single.operation, single.params);
-    span.set_ok(result.ok());
-    span.finish();
+    auto result = dispatch_traced(single);
     ByteBuffer wire;
     if (!result.ok()) {
       wire = fault(500, fault_code_for(result.error().code()), result.error().message());
@@ -821,10 +754,14 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
   // Body element of a single 200 response. Dedup works per sub-call: the
   // cached unit is the response/fault XML FRAGMENT, written straight into
   // the body and spliced back into whatever batch a replayed id arrives in.
+  // The count stops at the wire's per-frame call limit, like an XDR batch
+  // frame's: no larger batch is served, and a longer digit run would wrap
+  // (2^64 + 1 would read as 1).
   std::size_t declared = 0;
   for (char c : batch_count) {
     if (c < '0' || c > '9') return fault(400, "Client", "soap: bad BatchCount header");
     declared = declared * 10 + static_cast<std::size_t>(c - '0');
+    if (declared > kMaxBatchCalls) return fault(400, "Client", "soap: bad BatchCount header");
   }
   if (declared != call->calls.size()) {
     return fault(400, "Client",
@@ -858,14 +795,7 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
         })) {
       continue;
     }
-    obs::Span span;
-    if (net_.tracer().enabled()) {
-      span = net_.tracer().start_span("soap.serve." + sub.operation, remote_parent);
-      if (span.active()) span.annotate("host=" + net_.host_name(host_));
-    }
-    auto result = dispatcher->dispatch(sub.operation, sub.params);
-    span.set_ok(result.ok());
-    span.finish();
+    auto result = dispatch_traced(sub);
     const std::size_t fragment_at = response.body.size();
     if (!result.ok()) {
       writer.fault({fault_code_for(result.error().code()), result.error().message(), ""});

@@ -255,6 +255,10 @@ class SoapHttpServer {
     MountKind kind = MountKind::kSoap;
   };
 
+  /// The one body of mount/mount_raw/mount_mime: normalizes the path and
+  /// inserts it unless taken.
+  Status add_mount(std::string path, std::shared_ptr<Dispatcher> dispatcher,
+                   MountKind kind);
   Result<ByteBuffer> handle(std::span<const std::uint8_t> raw);
 
   Transport& net_;

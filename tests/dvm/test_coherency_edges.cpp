@@ -1,9 +1,11 @@
 // Coherency protocol edge cases: degenerate cluster sizes, oversized
-// neighborhoods, and erase visibility semantics.
+// neighborhoods, erase visibility semantics, and batch writes larger than
+// one wire frame.
 #include <gtest/gtest.h>
 
 #include "dvm/dvm.hpp"
 #include "plugins/standard.hpp"
+#include "transport/marshal.hpp"
 
 namespace h2::dvm {
 namespace {
@@ -231,6 +233,39 @@ TEST_F(CoherencyEdgeTest, ProtocolObjectsAreReusableAcrossMembershipChanges) {
   ASSERT_TRUE(dvm->set(names[0], "k2", "v2").ok());
   EXPECT_EQ(*dvm->get("late", "k2"), "v2");
   EXPECT_EQ(*dvm->get("late", "k"), "v");  // back-filled on join
+}
+
+TEST_F(CoherencyEdgeTest, BatchWriteLargerThanOneFrameReachesEveryReplica) {
+  // One key past the wire's per-frame call limit: every replication leg
+  // must be chunked, or the peer rejects the whole frame after the origin
+  // has already applied it (and sharded mode would park — and, past the
+  // hint capacity, evict — every entry).
+  const std::size_t count = net::kMaxBatchCalls + 1;
+  std::vector<std::string> keys;
+  keys.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) keys.push_back("big/" + std::to_string(i));
+  std::vector<KV> writes;
+  writes.reserve(count);
+  for (const std::string& key : keys) writes.push_back({key, "v"});
+
+  // Three members and (for sharded) R=3: every member owns every key.
+  for (auto factory :
+       {+[] { return make_full_synchrony(); }, +[] { return make_neighborhood(2); },
+        +[] { return make_sharded(ShardConfig{.shards = 4, .replicas = 3}); }}) {
+    auto dvm = build(factory(), 3);
+    SCOPED_TRACE(dvm->coherency());
+    auto names = dvm->node_names();
+    auto status = dvm->set_batch(names[0], writes);
+    ASSERT_TRUE(status.ok()) << status.error().describe();
+    EXPECT_EQ(dvm->pending_hints(), 0u);
+    for (const auto& name : names) {
+      std::size_t held = 0;
+      for (const std::string& key : keys) {
+        held += dvm->member(name)->state().get(key).has_value() ? 1 : 0;
+      }
+      EXPECT_EQ(held, count) << name;
+    }
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "plugins/standard.hpp"
 #include "resilience/failover.hpp"
 #include "resilience/policy.hpp"
+#include "transport/marshal.hpp"
 
 namespace h2::resil {
 namespace {
@@ -178,6 +179,43 @@ TEST_F(ShardRoutingTest, BatchGroupsWritesPerRoutedOwner) {
     auto got = channel.get(kv.key);
     ASSERT_TRUE(got.ok()) << kv.key;
     EXPECT_EQ(*got, kv.value);
+  }
+}
+
+TEST_F(ShardRoutingTest, BatchLargerThanOneFrameReachesEveryOwner) {
+  // One shard, R=3 over three members: every write routes to the same
+  // primary, and both the routed frame and each replication frame carry
+  // one call past the wire's per-frame limit unless they are chunked.
+  net::SimNetwork net;
+  kernel::PluginRepository repo;
+  ASSERT_TRUE(plugins::register_standard_plugins(repo).ok());
+  dvm::Dvm dvm("big", dvm::make_sharded(dvm::ShardConfig{.shards = 1, .replicas = 3}));
+  std::vector<std::unique_ptr<container::Container>> containers;
+  for (std::size_t i = 0; i < 3; ++i) {
+    std::string name = "b" + std::to_string(i);
+    containers.push_back(
+        std::make_unique<container::Container>(name, repo, net, *net.add_host(name)));
+    ASSERT_TRUE(dvm.add_node(*containers.back()).ok());
+  }
+
+  const std::size_t count = net::kMaxBatchCalls + 1;
+  std::vector<std::string> keys;
+  keys.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) keys.push_back("big/" + std::to_string(i));
+  std::vector<dvm::KV> writes;
+  writes.reserve(count);
+  for (const std::string& key : keys) writes.push_back({key, "v"});
+
+  ShardRoutedChannel channel(dvm, *containers[0], policy_);
+  auto status = channel.set_batch(writes);
+  ASSERT_TRUE(status.ok()) << status.error().describe();
+  EXPECT_EQ(dvm.pending_hints(), 0u);
+  for (const std::string& name : dvm.node_names()) {
+    std::size_t held = 0;
+    for (const std::string& key : keys) {
+      held += dvm.member(name)->state().get(key).has_value() ? 1 : 0;
+    }
+    EXPECT_EQ(held, count) << name;
   }
 }
 

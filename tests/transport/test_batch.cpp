@@ -11,6 +11,8 @@
 #include <thread>
 
 #include "resilience/dedup.hpp"
+#include "soap/envelope.hpp"
+#include "transport/http.hpp"
 #include "transport/marshal.hpp"
 #include "transport/rpc.hpp"
 #include "util/buffer_pool.hpp"
@@ -262,6 +264,61 @@ TEST_F(BatchRpcTest, SoapBatchDedupsPerSubCall) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(*(*second[i]).as_int(), *(*first[i]).as_int());
   }
+}
+
+/// Posts a SOAP batch envelope of `calls` "add" operations to the server
+/// at server:8080/svc with the given BatchCount header value, and returns
+/// the parsed HTTP response.
+Result<http::Response> post_soap_batch(SimNetwork& net, HostId from,
+                                       std::string_view batch_count,
+                                       std::size_t calls) {
+  std::vector<Value> params{Value::of_int(1, "n")};
+  std::vector<soap::BatchCall> ops(calls, soap::BatchCall{"add", params});
+  soap::HeaderEntry count;
+  count.name = kBatchCountHeaderName;
+  count.ns = kBatchHeaderNs;
+  count.value = std::string(batch_count);
+  http::Request request;
+  request.target = "/svc";
+  request.headers.set("Content-Type", "text/xml; charset=utf-8");
+  request.headers.set("SOAPAction", "\"urn:test#batch\"");
+  soap::build_batch_request_into(request.body, "urn:test", ops, {&count, 1});
+  ByteBuffer wire = request.serialize("server");
+  auto server = net.resolve("server");
+  if (!server.ok()) return server.error();
+  auto raw = net.call(from, *server, 8080, wire.bytes());
+  if (!raw.ok()) return raw.error();
+  return http::parse_response(raw->bytes());
+}
+
+TEST_F(BatchRpcTest, SoapBatchCountPastTheCallLimitIsRejected) {
+  SoapHttpServer http(net_, server_, 8080);
+  ASSERT_TRUE(http.start().ok());
+  ASSERT_TRUE(http.mount("svc", service_).ok());
+
+  // 2^64 + 1 wraps a size_t digit loop to 1, which would match the one
+  // operation element; 4097 genuine calls exceed the XDR frame limit.
+  for (auto [count, calls] : {std::pair<std::string_view, std::size_t>{
+                                  "18446744073709551617", 1},
+                              {"4097", kMaxBatchCalls + 1},
+                              {"99999999999999999999999", 3}}) {
+    SCOPED_TRACE(count);
+    auto response = post_soap_batch(net_, client_, count, calls);
+    ASSERT_TRUE(response.ok()) << response.error().describe();
+    EXPECT_EQ(response->status, 400);
+    auto fault = soap::parse_reply(response->body);
+    ASSERT_TRUE(fault.ok()) << fault.error().describe();
+    ASSERT_TRUE(fault->is_fault());
+    EXPECT_EQ(fault->fault().code, "Client");
+    EXPECT_EQ(fault->fault().message, "soap: bad BatchCount header");
+  }
+  EXPECT_EQ(executions_, 0);
+
+  // At the limit the batch is still served.
+  auto full = post_soap_batch(net_, client_, "4096", kMaxBatchCalls);
+  ASSERT_TRUE(full.ok()) << full.error().describe();
+  EXPECT_EQ(full->status, 200);
+  EXPECT_EQ(executions_, static_cast<int>(kMaxBatchCalls));
 }
 
 TEST_F(BatchRpcTest, SoapSingletonRequestsStillServed) {

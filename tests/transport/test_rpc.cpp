@@ -149,6 +149,32 @@ TEST_F(RpcTest, SoapMountUnmountLifecycle) {
   EXPECT_FALSE(http.running());
 }
 
+TEST_F(RpcTest, DuplicateMountIsAlreadyExistsForEveryKind) {
+  SoapHttpServer http(net_, server_, 8080);
+  using MountFn = Status (SoapHttpServer::*)(std::string, std::shared_ptr<Dispatcher>);
+  const std::pair<MountFn, const char*> kinds[] = {
+      {&SoapHttpServer::mount, "soap server"},
+      {&SoapHttpServer::mount_raw, "http server"},
+      {&SoapHttpServer::mount_mime, "http server"}};
+  for (const auto& [mount, prefix] : kinds) {
+    SCOPED_TRACE(prefix);
+    ASSERT_TRUE((http.*mount)("/dup", service_).ok());
+    auto again = (http.*mount)("dup", service_);  // slash-insensitive
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.error().code(), ErrorCode::kAlreadyExists);
+    EXPECT_EQ(again.error().message(),
+              std::string(prefix) + ": path '/dup' already mounted");
+    // Taken by another kind counts too: one path, one mount.
+    MountFn other_kind =
+        mount == &SoapHttpServer::mount ? &SoapHttpServer::mount_raw : &SoapHttpServer::mount;
+    auto other = (http.*other_kind)("dup", service_);
+    ASSERT_FALSE(other.ok());
+    EXPECT_EQ(other.error().code(), ErrorCode::kAlreadyExists);
+    EXPECT_EQ(http.mounted_count(), 1u);
+    ASSERT_TRUE(http.unmount("dup").ok());
+  }
+}
+
 TEST_F(RpcTest, SoapServerPortConflict) {
   SoapHttpServer first(net_, server_, 8080);
   ASSERT_TRUE(first.start().ok());
