@@ -216,8 +216,8 @@ void BM_DedupLookupStore(benchmark::State& state) {
   std::uint64_t n = 0;
   for (auto _ : state) {
     std::string id = "h2c-" + std::to_string(n++ % 2048);
-    if (!cache.lookup(id).has_value()) {
-      cache.store(id, std::vector<std::uint8_t>{1, 2, 3, 4});
+    if (!cache.lookup(resil::Framing::kXdrFrame, id).has_value()) {
+      cache.store(resil::Framing::kXdrFrame, id, std::vector<std::uint8_t>{1, 2, 3, 4});
     }
   }
 }

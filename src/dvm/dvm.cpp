@@ -30,10 +30,10 @@ std::vector<DvmNode*> Dvm::alive_members() const {
   return out;
 }
 
-Result<std::size_t> Dvm::alive_index(std::string_view node_name) const {
-  auto alive = alive_members();
-  for (std::size_t i = 0; i < alive.size(); ++i) {
-    if (alive[i]->name() == node_name) return i;
+Result<Dvm::AliveView> Dvm::alive_view(std::string_view node_name) const {
+  AliveView view{alive_members()};
+  for (; view.index < view.members.size(); ++view.index) {
+    if (view.node().name() == node_name) return view;
   }
   return err::not_found("dvm " + name_ + ": no alive node '" + std::string(node_name) +
                         "'");
@@ -74,15 +74,14 @@ Result<std::size_t> Dvm::add_node(container::Container& container) {
 }
 
 Status Dvm::remove_node(std::string_view node_name) {
-  auto index = alive_index(node_name);
-  if (!index.ok()) return index.error();
-  auto alive = alive_members();
+  auto view = alive_view(node_name);
+  if (!view.ok()) return view.error();
   // Record the departure while the node can still participate in the
   // protocol, then take it out of the membership.
-  (void)protocol_->update(alive, *index, "node/" + std::string(node_name), "left");
-  DvmNode* node = alive[*index];
-  node->stop();
-  node->set_alive(false);
+  (void)protocol_->update(view->members, view->index, "node/" + std::string(node_name),
+                          "left");
+  view->node().stop();
+  view->node().set_alive(false);
   (void)protocol_->on_leave(alive_members(), node_name);
   ++epoch_;
   announce("dvm/membership", "left:" + std::string(node_name));
@@ -90,11 +89,10 @@ Status Dvm::remove_node(std::string_view node_name) {
 }
 
 Status Dvm::mark_failed(std::string_view node_name) {
-  auto index = alive_index(node_name);
-  if (!index.ok()) return index.error();
-  DvmNode* failed = alive_members()[*index];
-  failed->set_alive(false);  // exclude first: it may be unreachable
-  failed->stop();
+  auto view = alive_view(node_name);
+  if (!view.ok()) return view.error();
+  view->node().set_alive(false);  // exclude first: it may be unreachable
+  view->node().stop();
   auto survivors = alive_members();
   if (!survivors.empty()) {
     // Placement first: the ring must stop counting the dead member before
@@ -111,12 +109,11 @@ Status Dvm::mark_failed(std::string_view node_name) {
 }
 
 Status Dvm::crash_node(std::string_view node_name) {
-  auto index = alive_index(node_name);
-  if (!index.ok()) return index.error();
-  DvmNode* victim = alive_members()[*index];
+  auto view = alive_view(node_name);
+  if (!view.ok()) return view.error();
   // Endpoints first: once the container is dark, mark_failed cannot
   // accidentally talk to the victim.
-  if (auto status = victim->container().crash(); !status.ok()) return status;
+  if (auto status = view->node().container().crash(); !status.ok()) return status;
   return mark_failed(node_name);
 }
 
@@ -134,23 +131,23 @@ Result<std::size_t> Dvm::rejoin(std::string_view node_name) {
       return status.error().context("dvm " + name_ + " rejoin");
     }
     member.node->set_alive(true);
-    auto alive = alive_members();
-    auto index = alive_index(node_name);
-    if (!index.ok()) return index.error();
+    auto view = alive_view(node_name);
+    if (!view.ok()) return view.error();
     // Back-fill the returnee exactly like a fresh join, then put the
     // membership record right again.
-    if (auto status = protocol_->on_join(alive, *index); !status.ok()) {
+    if (auto status = protocol_->on_join(view->members, view->index); !status.ok()) {
       // Half-joined is worse than failed: drop the node back out.
       member.node->set_alive(false);
       member.node->stop();
       (void)member.node->container().crash();
       return status.error().context("dvm " + name_ + " rejoin back-fill");
     }
-    (void)protocol_->update(alive, *index, "node/" + std::string(node_name), "alive");
+    (void)protocol_->update(view->members, view->index, "node/" + std::string(node_name),
+                            "alive");
     ++epoch_;
     announce("dvm/membership", "rejoined:" + std::string(node_name));
     logger().debug(name_ + ": node " + std::string(node_name) + " rejoined");
-    return index;
+    return view->index;
   }
   return err::not_found("dvm " + name_ + ": node '" + std::string(node_name) +
                         "' was never enrolled");
@@ -175,17 +172,16 @@ loop::TimerId Dvm::start_heartbeat(
 }
 
 Result<std::vector<std::string>> Dvm::probe_now(std::string_view from_node) {
-  auto index = alive_index(from_node);
-  if (!index.ok()) return index.error();
-  auto alive = alive_members();
-  DvmNode* prober = alive[*index];
+  auto view = alive_view(from_node);
+  if (!view.ok()) return view.error();
+  DvmNode& prober = view->node();
   std::vector<std::string> failed;
   // The protocol chooses the probe set: broadcast for the classic modes,
   // replica-set peers only for the sharded ring.
-  for (std::size_t peer_index : protocol_->heartbeat_peers(alive, *index)) {
-    DvmNode* peer = alive[peer_index];
-    if (peer == prober) continue;
-    if (prober->remote_ping(*peer).ok()) continue;
+  for (std::size_t peer_index : protocol_->heartbeat_peers(view->members, view->index)) {
+    DvmNode* peer = view->members[peer_index];
+    if (peer == &prober) continue;
+    if (prober.remote_ping(*peer).ok()) continue;
     failed.push_back(peer->name());
   }
   for (const std::string& name : failed) {
@@ -218,7 +214,7 @@ Result<DvmNode&> Dvm::member(std::string_view node_name) {
 }
 
 bool Dvm::is_member(std::string_view node_name) const {
-  return alive_index(node_name).ok();
+  return alive_view(node_name).ok();
 }
 
 std::vector<const DvmNode*> Dvm::all_members() const {
@@ -242,53 +238,42 @@ void Dvm::record_round(net::SimNetwork& net, std::uint64_t messages_before, Nano
   h_convergence_->observe(net.clock().now() - t0);
 }
 
-Status Dvm::set(std::string_view node_name, std::string_view key,
-                std::string_view value) {
-  auto index = alive_index(node_name);
-  if (!index.ok()) return index.error();
-  auto alive = alive_members();
-  net::SimNetwork& net = alive[*index]->network();
+template <typename Op>
+auto Dvm::state_round(std::string_view node_name, Op&& op)
+    -> decltype(op(std::span<DvmNode* const>{}, std::size_t{})) {
+  auto view = alive_view(node_name);
+  if (!view.ok()) return view.error();
+  net::SimNetwork& net = view->node().network();
   const std::uint64_t before = net.stats().messages;
   const Nanos t0 = net.clock().now();
-  auto status = protocol_->update(alive, *index, key, value);
+  auto outcome = op(std::span<DvmNode* const>(view->members), view->index);
   record_round(net, before, t0);
-  return status;
+  return outcome;
+}
+
+Status Dvm::set(std::string_view node_name, std::string_view key,
+                std::string_view value) {
+  return state_round(node_name, [&](std::span<DvmNode* const> alive, std::size_t origin) {
+    return protocol_->update(alive, origin, key, value);
+  });
 }
 
 Status Dvm::set_batch(std::string_view node_name, std::span<const KV> writes) {
-  auto index = alive_index(node_name);
-  if (!index.ok()) return index.error();
-  auto alive = alive_members();
-  net::SimNetwork& net = alive[*index]->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto status = protocol_->update_batch(alive, *index, writes);
-  record_round(net, before, t0);
-  return status;
+  return state_round(node_name, [&](std::span<DvmNode* const> alive, std::size_t origin) {
+    return protocol_->update_batch(alive, origin, writes);
+  });
 }
 
 Result<std::string> Dvm::get(std::string_view node_name, std::string_view key) {
-  auto index = alive_index(node_name);
-  if (!index.ok()) return index.error();
-  auto alive = alive_members();
-  net::SimNetwork& net = alive[*index]->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto value = protocol_->query(alive, *index, key);
-  record_round(net, before, t0);
-  return value;
+  return state_round(node_name, [&](std::span<DvmNode* const> alive, std::size_t origin) {
+    return protocol_->query(alive, origin, key);
+  });
 }
 
 Status Dvm::erase(std::string_view node_name, std::string_view key) {
-  auto index = alive_index(node_name);
-  if (!index.ok()) return index.error();
-  auto alive = alive_members();
-  net::SimNetwork& net = alive[*index]->network();
-  const std::uint64_t before = net.stats().messages;
-  const Nanos t0 = net.clock().now();
-  auto status = protocol_->erase(alive, *index, key);
-  record_round(net, before, t0);
-  return status;
+  return state_round(node_name, [&](std::span<DvmNode* const> alive, std::size_t origin) {
+    return protocol_->erase(alive, origin, key);
+  });
 }
 
 void Dvm::post_anti_entropy(AntiEntropyCompletion done) {

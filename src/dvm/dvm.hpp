@@ -212,8 +212,23 @@ class Dvm {
     std::unique_ptr<DvmNode> node;
   };
 
+  /// The alive members, in enrollment order, and one node's index among
+  /// them: what every protocol call takes.
+  struct AliveView {
+    std::vector<DvmNode*> members;
+    std::size_t index = 0;
+    DvmNode& node() const { return *members[index]; }
+  };
+
   std::vector<DvmNode*> alive_members() const;
-  Result<std::size_t> alive_index(std::string_view node_name) const;
+  /// The alive view from `node_name`, or not-found when it is not alive.
+  Result<AliveView> alive_view(std::string_view node_name) const;
+  /// One coherency round originated at `node_name` (set, set_batch, get,
+  /// erase): builds the alive view once, runs `op(members, origin)` and
+  /// records the round.
+  template <typename Op>
+  auto state_round(std::string_view node_name, Op&& op)
+      -> decltype(op(std::span<DvmNode* const>{}, std::size_t{}));
   /// Blocking bodies behind the loop-posted entry points (which run them
   /// with loop affinity).
   Result<std::vector<std::string>> probe_now(std::string_view from_node);

@@ -382,13 +382,22 @@ class ShardedCoherency final : public CoherencyProtocol {
     return nullptr;
   }
 
+  /// Keeps placement in step with the membership. Every operation calls
+  /// this, but membership only changes on join, leave, failure or rejoin:
+  /// an unchanged member sequence costs one in-order name comparison, and
+  /// only a changed one is sorted and compared with the ring.
   void ensure(std::span<DvmNode* const> members) {
-    std::vector<std::string> names;
-    names.reserve(members.size());
-    for (DvmNode* node : members) names.push_back(node->name());
+    if (std::equal(members.begin(), members.end(), seen_.begin(), seen_.end(),
+                   [](const DvmNode* node, const std::string& name) {
+                     return node->name() == name;
+                   })) {
+      return;
+    }
+    seen_.clear();
+    for (const DvmNode* node : members) seen_.push_back(node->name());
+    std::vector<std::string> names = seen_;
     std::sort(names.begin(), names.end());
-    if (names == map_.members()) return;
-    map_.rebuild(names);
+    if (names != map_.members()) map_.rebuild(names);
   }
 
   /// Read-repair: the stale owner's loop applies the winning entry with
@@ -574,6 +583,7 @@ class ShardedCoherency final : public CoherencyProtocol {
   }
 
   ShardMap map_;
+  std::vector<std::string> seen_;  ///< member names as ensure() last saw them
   std::optional<std::size_t> skip_shard_;  ///< TEST ONLY: AE skips this shard
   bool drop_hints_;                        ///< TEST ONLY: park() discards hints
   std::uint64_t counter_ = 0;  ///< global LWW timestamp source (see header comment)

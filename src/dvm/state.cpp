@@ -7,67 +7,116 @@
 
 namespace h2::dvm {
 
-// ---- StateStore: versioned LWW entries ----------------------------------------
+// ---- StateStore: one hashed slot per key --------------------------------------
+
+void StateStore::set(std::string key, std::string value) {
+  Slot& slot = slots_.try_emplace(std::move(key)).first->second;
+  if (!slot.has_value) ++values_;
+  slot.has_value = true;
+  slot.value = std::move(value);
+}
+
+std::optional<std::string> StateStore::get(std::string_view key) const {
+  auto it = slots_.find(key);
+  if (it == slots_.end() || !it->second.has_value) return std::nullopt;
+  return it->second.value;
+}
+
+bool StateStore::erase(std::string_view key) {
+  auto it = slots_.find(key);
+  if (it == slots_.end() || !it->second.has_value) return false;
+  --values_;
+  if (it->second.versioned) {
+    // A plain erase drops only the value: the LWW version stays, so a
+    // stale versioned write still loses.
+    it->second.has_value = false;
+    it->second.value.clear();
+  } else {
+    slots_.erase(it);
+  }
+  return true;
+}
+
+std::vector<std::string> StateStore::keys() const {
+  std::vector<std::string> out;
+  out.reserve(values_);
+  for (const auto& [key, slot] : slots_) {
+    if (slot.has_value) out.push_back(key);
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+void StateStore::write(Slot& slot, std::string_view value, Version version,
+                       bool deleted) {
+  slot.versioned = true;
+  slot.version = version;
+  slot.deleted = deleted;
+  if (deleted) {
+    if (slot.has_value) --values_;
+    slot.has_value = false;
+    slot.value.clear();
+  } else {
+    if (!slot.has_value) ++values_;
+    slot.has_value = true;
+    slot.value.assign(value);
+  }
+}
 
 bool StateStore::apply(const VersionedEntry& entry) {
   clock_ = std::max(clock_, entry.version.ts);
-  auto it = versions_.find(entry.key);
-  if (it != versions_.end() && !(it->second.version < entry.version)) {
+  Slot& slot = slots_.try_emplace(entry.key).first->second;
+  if (slot.versioned && !(slot.version < entry.version)) {
     return false;  // we already hold this version or something newer
   }
-  if (it != versions_.end()) {
-    it->second = Meta{entry.version, entry.deleted};
-  } else {
-    versions_.emplace(entry.key, Meta{entry.version, entry.deleted});
-  }
-  if (entry.deleted) {
-    map_.erase(entry.key);
-  } else {
-    map_[entry.key] = entry.value;
-  }
+  write(slot, entry.value, entry.version, entry.deleted);
   return true;
 }
 
 Version StateStore::assign_and_apply(std::string_view key, std::string_view value,
                                      std::uint64_t writer, bool deleted) {
+  // Always wins: ts is greater than anything seen.
   Version version{++clock_, writer};
-  VersionedEntry entry{std::string(key), std::string(value), version, deleted};
-  (void)apply(entry);  // always wins: ts is greater than anything seen
+  auto it = slots_.find(key);
+  if (it == slots_.end()) it = slots_.emplace(std::string(key), Slot{}).first;
+  write(it->second, value, version, deleted);
   return version;
 }
 
 std::optional<Version> StateStore::version_of(std::string_view key) const {
-  auto it = versions_.find(key);
-  if (it == versions_.end()) return std::nullopt;
+  auto it = slots_.find(key);
+  if (it == slots_.end() || !it->second.versioned) return std::nullopt;
   return it->second.version;
 }
 
 std::optional<VersionedEntry> StateStore::ventry(std::string_view key) const {
-  auto it = versions_.find(key);
-  if (it == versions_.end()) return std::nullopt;
-  VersionedEntry entry;
-  entry.key = std::string(key);
-  entry.version = it->second.version;
-  entry.deleted = it->second.deleted;
-  if (!entry.deleted) {
-    if (auto value = map_.find(key); value != map_.end()) entry.value = value->second;
+  auto it = slots_.find(key);
+  if (it == slots_.end() || !it->second.versioned) return std::nullopt;
+  const Slot& slot = it->second;
+  return VersionedEntry{std::string(key), slot.deleted ? std::string() : slot.value,
+                        slot.version, slot.deleted};
+}
+
+std::vector<const StateStore::Index::value_type*> StateStore::sorted_shard(
+    std::size_t shard, std::size_t shard_count) const {
+  std::vector<const Index::value_type*> out;
+  for (const Index::value_type& kv : slots_) {
+    if (kv.second.versioned && shard_of_key(kv.first, shard_count) == shard) {
+      out.push_back(&kv);
+    }
   }
-  return entry;
+  std::sort(out.begin(), out.end(),
+            [](const auto* a, const auto* b) { return a->first < b->first; });
+  return out;
 }
 
 std::vector<VersionedEntry> StateStore::shard_snapshot(std::size_t shard,
                                                        std::size_t shard_count) const {
   std::vector<VersionedEntry> out;
-  for (const auto& [key, meta] : versions_) {
-    if (shard_of_key(key, shard_count) != shard) continue;
-    VersionedEntry entry;
-    entry.key = key;
-    entry.version = meta.version;
-    entry.deleted = meta.deleted;
-    if (!meta.deleted) {
-      if (auto it = map_.find(key); it != map_.end()) entry.value = it->second;
-    }
-    out.push_back(std::move(entry));
+  for (const auto* kv : sorted_shard(shard, shard_count)) {
+    const Slot& slot = kv->second;
+    out.push_back(VersionedEntry{kv->first, slot.deleted ? std::string() : slot.value,
+                                 slot.version, slot.deleted});
   }
   return out;
 }
@@ -77,15 +126,13 @@ std::uint64_t StateStore::shard_digest(std::size_t shard,
   // Chained mix over the key-sorted snapshot: any difference in keys,
   // values, versions or tombstone flags changes the digest.
   std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const auto& [key, meta] : versions_) {
-    if (shard_of_key(key, shard_count) != shard) continue;
-    h = mix64(h ^ hash64(key));
-    h = mix64(h ^ meta.version.ts);
-    h = mix64(h ^ meta.version.writer);
-    h = mix64(h ^ (meta.deleted ? 1u : 0u));
-    if (!meta.deleted) {
-      if (auto it = map_.find(key); it != map_.end()) h = mix64(h ^ hash64(it->second));
-    }
+  for (const auto* kv : sorted_shard(shard, shard_count)) {
+    const Slot& slot = kv->second;
+    h = mix64(h ^ hash64(kv->first));
+    h = mix64(h ^ slot.version.ts);
+    h = mix64(h ^ slot.version.writer);
+    h = mix64(h ^ (slot.deleted ? 1u : 0u));
+    if (!slot.deleted) h = mix64(h ^ hash64(slot.value));
   }
   return h;
 }
@@ -93,8 +140,8 @@ std::uint64_t StateStore::shard_digest(std::size_t shard,
 std::size_t StateStore::shard_entry_count(std::size_t shard,
                                           std::size_t shard_count) const {
   std::size_t count = 0;
-  for (const auto& [key, meta] : versions_) {
-    if (shard_of_key(key, shard_count) == shard) ++count;
+  for (const auto& [key, slot] : slots_) {
+    if (slot.versioned && shard_of_key(key, shard_count) == shard) ++count;
   }
   return count;
 }
@@ -114,6 +161,10 @@ std::string encode_entries(std::span<const VersionedEntry> entries) {
 }
 
 namespace {
+
+/// Bytes of the smallest entry header: five one-digit numbers and their
+/// separators.
+constexpr std::size_t kMinEntryHeader = 10;
 
 Result<std::uint64_t> take_number(std::string_view& rest, char terminator) {
   std::size_t end = rest.find(terminator);
@@ -136,6 +187,11 @@ Result<std::vector<VersionedEntry>> decode_entries(std::string_view blob) {
   blob.remove_prefix(5);
   auto count = take_number(blob, '\n');
   if (!count.ok()) return count.error();
+  // The count is peer-sent: each entry needs at least its header
+  // ("0 0 0 0 0\n"), so a count the remaining bytes cannot hold is a lie.
+  if (*count > blob.size() / kMinEntryHeader) {
+    return err::invalid_argument("shard blob: truncated");
+  }
   std::vector<VersionedEntry> out;
   out.reserve(*count);
   for (std::uint64_t i = 0; i < *count; ++i) {
@@ -149,7 +205,8 @@ Result<std::vector<VersionedEntry>> decode_entries(std::string_view blob) {
     if (!key_len.ok()) return key_len.error();
     auto value_len = take_number(blob, '\n');
     if (!value_len.ok()) return value_len.error();
-    if (blob.size() < *key_len + *value_len) {
+    // One length at a time: their sum could wrap.
+    if (*key_len > blob.size() || *value_len > blob.size() - *key_len) {
       return err::invalid_argument("shard blob: truncated entry payload");
     }
     VersionedEntry entry;

@@ -7,10 +7,10 @@
 // digest/pull operations, the wire surface of anti-entropy repair.
 #pragma once
 
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "container/container.hpp"
@@ -59,28 +59,19 @@ inline std::uint64_t writer_id(std::string_view member_name) {
   return hash64(member_name);
 }
 
-/// The local (per-node) slice of global DVM state.
+/// The local (per-node) slice of global DVM state. Every key has one slot
+/// in one hashed index: its plain value (if any) and, once a versioned
+/// write reaches it, its LWW version and tombstone flag. Each access is one
+/// lookup; outputs that list keys (keys, snapshots, digests) sort by key,
+/// so nothing depends on the table's iteration order.
 class StateStore {
  public:
-  void set(std::string key, std::string value) { map_[std::move(key)] = std::move(value); }
-  std::optional<std::string> get(std::string_view key) const {
-    auto it = map_.find(key);
-    if (it == map_.end()) return std::nullopt;
-    return it->second;
-  }
-  bool erase(std::string_view key) {
-    auto it = map_.find(key);
-    if (it == map_.end()) return false;
-    map_.erase(it);
-    return true;
-  }
-  std::size_t size() const { return map_.size(); }
-  std::vector<std::string> keys() const {
-    std::vector<std::string> out;
-    out.reserve(map_.size());
-    for (const auto& [k, v] : map_) out.push_back(k);
-    return out;
-  }
+  void set(std::string key, std::string value);
+  std::optional<std::string> get(std::string_view key) const;
+  bool erase(std::string_view key);
+  std::size_t size() const { return values_; }
+  /// Every key holding a value, sorted.
+  std::vector<std::string> keys() const;
 
   // ---- versioned (sharded-mode) access ---------------------------------------
 
@@ -105,21 +96,38 @@ class StateStore {
   /// the unit anti-entropy digests, pulls and compares.
   std::vector<VersionedEntry> shard_snapshot(std::size_t shard,
                                              std::size_t shard_count) const;
-  /// Order-independent-free digest over the (key-sorted) shard snapshot:
-  /// equal digests ⇔ byte-equal replicas, version metadata included.
+  /// Chained digest over the key-sorted shard snapshot: equal digests ⇔
+  /// byte-equal replicas, version metadata included.
   std::uint64_t shard_digest(std::size_t shard, std::size_t shard_count) const;
 
   /// How many versioned entries (tombstones included) one shard holds —
-  /// what the adaptive Merkle sizing feeds on. O(versioned entries).
+  /// what the adaptive Merkle sizing feeds on. O(keys).
   std::size_t shard_entry_count(std::size_t shard, std::size_t shard_count) const;
 
  private:
-  struct Meta {
-    Version version;
-    bool deleted = false;
+  struct Slot {
+    std::string value;  ///< empty unless has_value
+    Version version;    ///< meaningful only when versioned
+    bool has_value = false;
+    bool versioned = false;  ///< a sharded-mode entry (tombstones included)
+    bool deleted = false;    ///< tombstone
   };
-  std::map<std::string, std::string, std::less<>> map_;
-  std::map<std::string, Meta, std::less<>> versions_;  ///< sharded-mode entries only
+  struct KeyHash {
+    using is_transparent = void;
+    std::size_t operator()(std::string_view key) const {
+      return std::hash<std::string_view>{}(key);
+    }
+  };
+  using Index = std::unordered_map<std::string, Slot, KeyHash, std::equal_to<>>;
+
+  /// Stores `value` (or drops it, for a tombstone) and `version` in `slot`.
+  void write(Slot& slot, std::string_view value, Version version, bool deleted);
+  /// The versioned slots of one shard, key-sorted.
+  std::vector<const Index::value_type*> sorted_shard(std::size_t shard,
+                                                     std::size_t shard_count) const;
+
+  Index slots_;
+  std::size_t values_ = 0;   ///< slots with has_value
   std::uint64_t clock_ = 0;  ///< Lamport: max ts seen or assigned
 };
 

@@ -22,16 +22,17 @@
 // exists solely for the planted-bug scenario that proves the
 // no-duplicate-side-effect invariant has teeth.
 //
-// Layout: a FIFO ring of reusable {id, reply} slots plus a flat
-// open-addressing index (linear probing, backward-shift delete) from call
-// id to slot. In steady state a store overwrites the oldest slot in place
-// — its id string and reply storage are reused, so the serve path does no
-// heap work — and replay() lends the cached bytes to the caller under the
-// lock instead of copying them out. A slot keeps its reply storage only
-// while that capacity is at most twice the new reply (or under
-// kRetainFloor bytes), so one huge reply cannot pin its storage once
-// tiny replies replace it. The ring grows lazily up to capacity: every
-// Container owns a cache, and most never see a keyed call.
+// Layout: a FIFO ring of reusable {framing, id, reply} slots plus a flat
+// open-addressing index (linear probing, backward-shift delete) from
+// (framing, call id) to slot. In steady state a store overwrites the
+// oldest slot in place — its id string and reply storage are reused, so
+// the serve path does no heap work — and replay() lends the cached bytes
+// to the caller under the lock instead of copying them out. A slot keeps
+// its reply storage only while that capacity is at most twice the new
+// reply (or under kRetainFloor bytes), so one huge reply cannot pin its
+// storage once tiny replies replace it. The ring grows lazily up to
+// capacity: every Container owns a cache, and most never see a keyed
+// call.
 #pragma once
 
 #include <algorithm>
@@ -55,6 +56,16 @@ namespace h2::resil {
 inline constexpr std::string_view kCallIdHeaderName = "CallId";
 inline constexpr std::string_view kCallIdHeaderNs = "http://harness2/resilience";
 
+/// What a cached reply is. Each framing caches a differently shaped unit,
+/// so entries are keyed by (framing, id): an id reused across bindings
+/// executes once per framing and never replays another framing's bytes.
+enum class Framing : std::uint8_t {
+  kXdrFrame,      ///< an "H2RP" reply frame (xdr calls, batch sub-calls over xdr/http)
+  kHttpReply,     ///< a whole raw-http response (http binding calls)
+  kSoapReply,     ///< a whole SOAP-over-HTTP response (soap calls)
+  kSoapFragment,  ///< one Body element of a SOAP batch response
+};
+
 /// Default reply-cache depth: sized to the retry horizon (see the file
 /// comment), not to available memory.
 inline constexpr std::size_t kDefaultDedupCapacity = 256;
@@ -72,18 +83,18 @@ class DedupCache {
   DedupCache(const DedupCache&) = delete;
   DedupCache& operator=(const DedupCache&) = delete;
 
-  /// If `call_id` already executed, hands its cached reply to `sink` as a
-  /// std::span<const std::uint8_t> and returns true; a hit means the
-  /// caller must replay these bytes instead of dispatching. No copy: the
-  /// span is valid only inside `sink`, which runs under the cache lock and
-  /// must not call back into the cache.
+  /// If `call_id` already executed under `framing`, hands its cached
+  /// reply to `sink` as a std::span<const std::uint8_t> and returns true;
+  /// a hit means the caller must replay these bytes instead of
+  /// dispatching. No copy: the span is valid only inside `sink`, which
+  /// runs under the cache lock and must not call back into the cache.
   template <typename Sink>
-  bool replay(std::string_view call_id, Sink&& sink) {
+  bool replay(Framing framing, std::string_view call_id, Sink&& sink) {
     if (call_id.empty()) return false;
-    const std::size_t hash = std::hash<std::string_view>{}(call_id);
+    const std::size_t hash = hash_of(framing, call_id);
     std::lock_guard lock(mu_);
     if (!enabled_) return false;
-    const std::uint32_t at = find(call_id, hash);
+    const std::uint32_t at = find(framing, call_id, hash);
     if (at == kEmpty) return false;
     ++hit_count_;
     if (hits_ != nullptr) hits_->add();
@@ -93,9 +104,9 @@ class DedupCache {
   }
 
   /// Copying form of replay(): the cached reply for `call_id`, if any.
-  std::optional<ByteBuffer> lookup(std::string_view call_id) {
+  std::optional<ByteBuffer> lookup(Framing framing, std::string_view call_id) {
     std::optional<ByteBuffer> out;
-    replay(call_id, [&](std::span<const std::uint8_t> bytes) {
+    replay(framing, call_id, [&](std::span<const std::uint8_t> bytes) {
       out.emplace(std::vector<std::uint8_t>(bytes.begin(), bytes.end()));
     });
     return out;
@@ -106,12 +117,13 @@ class DedupCache {
   /// its first reply. Dispatch *faults* are cached too — the handler
   /// executed, and a retry must observe the same outcome, not a second
   /// execution.
-  void store(std::string_view call_id, std::span<const std::uint8_t> reply) {
+  void store(Framing framing, std::string_view call_id,
+             std::span<const std::uint8_t> reply) {
     if (call_id.empty()) return;
-    const std::size_t hash = std::hash<std::string_view>{}(call_id);
+    const std::size_t hash = hash_of(framing, call_id);
     std::lock_guard lock(mu_);
     if (!enabled_) return;
-    if (find(call_id, hash) != kEmpty) return;
+    if (find(framing, call_id, hash) != kEmpty) return;
     std::uint32_t at;
     if (slots_.size() < capacity_) {
       at = static_cast<std::uint32_t>(slots_.size());
@@ -123,6 +135,7 @@ class DedupCache {
     }
     Slot& slot = slots_[at];
     slot.id.assign(call_id);
+    slot.framing = framing;
     slot.hash = hash;
     if (slot.reply.capacity() > std::max(2 * reply.size(), kRetainFloor)) {
       std::vector<std::uint8_t>().swap(slot.reply);  // drop oversized storage
@@ -163,6 +176,7 @@ class DedupCache {
  private:
   struct Slot {
     std::string id;
+    Framing framing = Framing::kXdrFrame;
     std::size_t hash = 0;
     std::vector<std::uint8_t> reply;
   };
@@ -171,13 +185,19 @@ class DedupCache {
 
   std::size_t mask() const { return index_.size() - 1; }
 
-  /// Slot holding `call_id`, or kEmpty.
-  std::uint32_t find(std::string_view call_id, std::size_t hash) const {
+  static std::size_t hash_of(Framing framing, std::string_view call_id) {
+    return std::hash<std::string_view>{}(call_id) ^
+           static_cast<std::size_t>(framing) * 0x9e3779b97f4a7c15ULL;
+  }
+
+  /// Slot holding (`framing`, `call_id`), or kEmpty.
+  std::uint32_t find(Framing framing, std::string_view call_id, std::size_t hash) const {
     if (index_.empty()) return kEmpty;
     for (std::size_t i = hash & mask();; i = (i + 1) & mask()) {
       const std::uint32_t at = index_[i];
       if (at == kEmpty) return kEmpty;
-      if (slots_[at].hash == hash && slots_[at].id == call_id) return at;
+      const Slot& slot = slots_[at];
+      if (slot.hash == hash && slot.framing == framing && slot.id == call_id) return at;
     }
   }
 

@@ -1,5 +1,6 @@
 #include "transport/batch.hpp"
 
+#include <algorithm>
 #include <charconv>
 
 namespace h2::net {
@@ -16,7 +17,7 @@ std::string stamp_call_id(std::uint64_t serial) {
 BatchChannel::BatchChannel(std::unique_ptr<Channel> inner, Transport& net,
                            BatchPolicy policy)
     : inner_(std::move(inner)), net_(net), policy_(policy) {
-  if (policy_.max_batch == 0) policy_.max_batch = 1;
+  policy_.max_batch = std::clamp<std::size_t>(policy_.max_batch, 1, kMaxBatchCalls);
 }
 
 BatchChannel::Ticket BatchChannel::enqueue(std::string operation,

@@ -30,7 +30,8 @@ std::string stamp_call_id(std::uint64_t serial);
 /// When a BatchChannel flushes on its own.
 struct BatchPolicy {
   /// Auto-flush when this many calls are pending. 1 degenerates to
-  /// unbatched pass-through.
+  /// unbatched pass-through; the channel clamps the value to
+  /// [1, net::kMaxBatchCalls], the most calls a server takes in one frame.
   std::size_t max_batch = 16;
   /// Auto-flush an enqueue() arriving this long (virtual time) after the
   /// oldest pending call. 0 = flush only on size/explicit flush/take.

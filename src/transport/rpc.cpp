@@ -91,13 +91,14 @@ ByteBuffer serve_batch_frame(std::span<const std::uint8_t> raw,
       continue;
     }
     const bool keyed = dedup != nullptr && !call->call_id.empty();
-    if (keyed && dedup->replay(call->call_id, [&](std::span<const std::uint8_t> cached) {
-          out.put_opaque(cached);
-        })) {
+    if (keyed && dedup->replay(resil::Framing::kXdrFrame, call->call_id,
+                               [&](std::span<const std::uint8_t> cached) {
+                                 out.put_opaque(cached);
+                               })) {
       continue;
     }
     auto reply = append_sub_reply(out, dispatcher.dispatch(call->operation, call->params));
-    if (keyed) dedup->store(call->call_id, reply);
+    if (keyed) dedup->store(resil::Framing::kXdrFrame, call->call_id, reply);
   }
   return out.take();
 }
@@ -225,8 +226,8 @@ class XdrChannel final : public Channel {
 };
 
 /// Base of the HTTP-framed bindings (soap, http, mime): each builds its own
-/// request body and applies its own status-code rule, and all three share
-/// the one POST round trip in post().
+/// request body and accepts its own statuses, and all three share the one
+/// POST round trip in post() and the one status-code rule in status_error().
 class HttpFramedChannel : public Channel {
  public:
   CallStats last_stats() const override { return stats_; }
@@ -255,6 +256,17 @@ class HttpFramedChannel : public Channel {
     auto response = http::parse_response(raw->bytes());
     if (!response.ok()) return response.error().context(response_what_);
     return response;
+  }
+
+  /// The one status-code rule, for a status the binding does not accept:
+  /// 400 rejects the request itself, which fails the same way on every
+  /// retry and every replica (kInvalidArgument); any other status is
+  /// kUnavailable, so retries and failover (a 404 replica) move on.
+  static Error status_error(std::string_view prefix, const http::Response& response) {
+    return Error(response.status == 400 ? ErrorCode::kInvalidArgument
+                                        : ErrorCode::kUnavailable,
+                 std::string(prefix) + std::to_string(response.status) + " " +
+                     response.reason);
   }
 
   Transport& net_;
@@ -379,8 +391,7 @@ class SoapChannel final : public HttpFramedChannel {
     envelope_ = std::move(request.body);
     if (!response.ok()) return response.error();
     if (response->status != 200 && response->status != 500) {
-      return err::unavailable("soap: http status " + std::to_string(response->status) +
-                              " " + response->reason);
+      return status_error("soap: http status ", *response);
     }
     return decode(response->body);
   }
@@ -406,10 +417,7 @@ class HttpChannel final : public HttpFramedChannel {
     // XML codec entities are gone.
     auto response = post(request, 5, "http call ", operation);
     if (!response.ok()) return response.error();
-    if (response->status != 200) {
-      return err::unavailable("http: status " + std::to_string(response->status) + " " +
-                              response->reason);
-    }
+    if (response->status != 200) return status_error("http: status ", *response);
     // View the body in place — the reply frame was copied here before.
     return unmarshal_reply(as_byte_span(response->body));
   }
@@ -500,13 +508,17 @@ Result<ServerHandle> serve_xdr(Transport& net, HostId host, std::uint16_t port,
           return marshal_reply(call.error().context("xdr server"));
         }
         if (dedup && !call->call_id.empty()) {
-          if (auto cached = dedup->lookup(call->call_id)) return std::move(*cached);
+          if (auto cached = dedup->lookup(resil::Framing::kXdrFrame, call->call_id)) {
+            return std::move(*cached);
+          }
         }
         ByteBuffer reply =
             marshal_reply(dispatcher->dispatch(call->operation, call->params));
         // Cache faults too: the dispatcher ran, and a duplicate must see
         // the same outcome rather than a second execution.
-        if (dedup && !call->call_id.empty()) dedup->store(call->call_id, reply.bytes());
+        if (dedup && !call->call_id.empty()) {
+          dedup->store(resil::Framing::kXdrFrame, call->call_id, reply.bytes());
+        }
         return reply;
       });
   if (!status.ok()) return status.error();
@@ -666,13 +678,15 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     }
     auto call = unmarshal_call(body);
     if (call.ok() && dedup && !call->call_id.empty()) {
-      if (auto cached = dedup->lookup(call->call_id)) return std::move(*cached);
+      if (auto cached = dedup->lookup(resil::Framing::kHttpReply, call->call_id)) {
+        return std::move(*cached);
+      }
     }
     ByteBuffer wire = octet_response(
         call.ok() ? marshal_reply(dispatcher->dispatch(call->operation, call->params))
                   : marshal_reply(Result<Value>(call.error())));
     if (call.ok() && dedup && !call->call_id.empty()) {
-      dedup->store(call->call_id, wire.bytes());
+      dedup->store(resil::Framing::kHttpReply, call->call_id, wire.bytes());
     }
     return wire;
   }
@@ -730,7 +744,9 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     }
     const soap::BatchRpcCall::Call& single = call->calls.front();
     if (dedup && !call_id.empty()) {
-      if (auto cached = dedup->lookup(call_id)) return std::move(*cached);
+      if (auto cached = dedup->lookup(resil::Framing::kSoapReply, call_id)) {
+        return std::move(*cached);
+      }
     }
     auto result = dispatch_traced(single);
     ByteBuffer wire;
@@ -746,7 +762,9 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     }
     // Cache success and dispatch faults alike — the handler executed either
     // way, and a duplicate must observe the same outcome.
-    if (dedup && !call_id.empty()) dedup->store(call_id, wire.bytes());
+    if (dedup && !call_id.empty()) {
+      dedup->store(resil::Framing::kSoapReply, call_id, wire.bytes());
+    }
     return wire;
   }
 
@@ -790,9 +808,12 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
     const soap::BatchRpcCall::Call& sub = call->calls[i];
     const std::string_view id = ids.empty() ? std::string_view{} : ids[i];
     const bool keyed = dedup && !id.empty();
-    if (keyed && dedup->replay(id, [&](std::span<const std::uint8_t> cached) {
-          response.body.append(reinterpret_cast<const char*>(cached.data()), cached.size());
-        })) {
+    if (keyed && dedup->replay(resil::Framing::kSoapFragment, id,
+                               [&](std::span<const std::uint8_t> cached) {
+                                 response.body.append(
+                                     reinterpret_cast<const char*>(cached.data()),
+                                     cached.size());
+                               })) {
       continue;
     }
     auto result = dispatch_traced(sub);
@@ -805,7 +826,8 @@ Result<ByteBuffer> SoapHttpServer::handle(std::span<const std::uint8_t> raw) {
       writer.call_close(sub.operation, /*response=*/true);
     }
     if (keyed) {
-      dedup->store(id, as_byte_span(std::string_view(response.body).substr(fragment_at)));
+      dedup->store(resil::Framing::kSoapFragment, id,
+                   as_byte_span(std::string_view(response.body).substr(fragment_at)));
     }
   }
   writer.body_close();

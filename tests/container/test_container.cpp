@@ -96,6 +96,40 @@ TEST_F(ContainerTest, SoapAndXdrEndpointsAreLive) {
   }
 }
 
+TEST_F(ContainerTest, CallIdReusedAcrossBindingsGetsItsOwnReplyShape) {
+  // One caller-pinned id over xdr, soap and raw http to one component:
+  // each binding caches its own reply shape, so each first call executes
+  // once and every re-send replays a reply its own client can parse.
+  DeployOptions options;
+  options.expose_xdr = true;
+  options.expose_soap = true;
+  options.expose_http = true;
+  auto id = a_->deploy("counter", options);
+  ASSERT_TRUE(id.ok()) << id.error().describe();
+  auto defs = *a_->describe(*id);
+
+  const wsdl::BindingKind kinds[] = {wsdl::BindingKind::kXdr, wsdl::BindingKind::kSoap,
+                                     wsdl::BindingKind::kHttp};
+  for (int round = 0; round < 2; ++round) {
+    std::int64_t expected = 0;
+    for (wsdl::BindingKind kind : kinds) {
+      std::vector<wsdl::BindingKind> pref{kind};
+      auto channel = b_->open_channel(defs, pref);
+      ASSERT_TRUE(channel.ok()) << wsdl::to_string(kind) << ": "
+                                << channel.error().describe();
+      (*channel)->set_call_id("id-1");
+      std::vector<Value> params{Value::of_string(wsdl::to_string(kind), "id"),
+                                Value::of_int(1, "delta")};
+      auto total = (*channel)->invoke("add", params);
+      ASSERT_TRUE(total.ok()) << wsdl::to_string(kind) << " round " << round << ": "
+                              << total.error().describe();
+      EXPECT_EQ(*total->as_int(), ++expected) << wsdl::to_string(kind);
+    }
+  }
+  // Three executions, one per binding; the second round was all replays.
+  EXPECT_EQ(a_->dedup().hits(), 3u);
+}
+
 TEST_F(ContainerTest, BindingNegotiationPrefersLocalObject) {
   DeployOptions options;
   options.expose_soap = true;

@@ -243,6 +243,28 @@ TEST_F(ResilientBatchTest, NonTransientErrorsPassStraightThrough) {
   EXPECT_TRUE(results[2].ok());
 }
 
+TEST_F(ResilientBatchTest, HttpBadRequestIsNotRetried) {
+  // A SOAP batch past the per-frame call limit draws HTTP 400: the request
+  // itself is wrong, so the retry loop must stop after one envelope.
+  net::SoapHttpServer http(net_, server_, 8080);
+  ASSERT_TRUE(http.mount("svc", mux_).ok());
+  ASSERT_TRUE(http.start().ok());
+  CallPolicy policy;
+  policy.deadline = 0;
+  policy.max_attempts = 4;
+  ResilientChannel channel(
+      net::make_soap_channel(net_, client_, {"http", "server", 8080, "svc"}, "urn:test"),
+      net_, policy, nullptr, "server");
+
+  auto results = stale_results();
+  Status status = channel.invoke_batch(bumps(net::kMaxBatchCalls + 1), results);
+  expect_batch_failed(status, results, net::kMaxBatchCalls + 1,
+                      ErrorCode::kInvalidArgument, "soap: http status 400 Bad Request");
+  EXPECT_EQ(channel.last_attempts(), 1);
+  EXPECT_EQ(net_.stats().calls, 1u);
+  EXPECT_EQ(executions_, 0);
+}
+
 TEST_F(ResilientBatchTest, EmptyBatchSucceedsWithoutAnAttempt) {
   auto channel = make_channel(CallPolicy{});
   auto results = stale_results();

@@ -105,7 +105,7 @@ TEST(DedupModelTest, MatchesReferenceAcrossCapacitiesAndWrapArounds) {
       if (dice < 40 || stored.empty()) {
         std::string id = next_fresh_id();
         Bytes reply = random_reply(rng);
-        cache.store(id, reply);
+        cache.store(Framing::kXdrFrame, id, reply);
         model.store(id, reply);
         stored.push_back(std::move(id));
         if (stored.size() % capacity == 0) ++wraps;
@@ -113,11 +113,11 @@ TEST(DedupModelTest, MatchesReferenceAcrossCapacitiesAndWrapArounds) {
         // A duplicate id keeps its first reply.
         std::string id = recent_id();
         Bytes reply = random_reply(rng);
-        cache.store(id, reply);
+        cache.store(Framing::kXdrFrame, id, reply);
         model.store(id, reply);
       } else if (dice < 80) {
         std::string id = recent_id();
-        auto got = cache.lookup(id);
+        auto got = cache.lookup(Framing::kXdrFrame, id);
         const Bytes* want = model.lookup(id);
         ASSERT_EQ(got.has_value(), want != nullptr) << "capacity " << capacity << " op " << op;
         if (want != nullptr) {
@@ -126,9 +126,10 @@ TEST(DedupModelTest, MatchesReferenceAcrossCapacitiesAndWrapArounds) {
       } else if (dice < 99) {
         std::string id = recent_id();
         Bytes got;
-        const bool hit = cache.replay(id, [&](std::span<const std::uint8_t> bytes) {
-          got.assign(bytes.begin(), bytes.end());
-        });
+        const bool hit =
+            cache.replay(Framing::kXdrFrame, id, [&](std::span<const std::uint8_t> bytes) {
+              got.assign(bytes.begin(), bytes.end());
+            });
         const Bytes* want = model.lookup(id);
         ASSERT_EQ(hit, want != nullptr) << "capacity " << capacity << " op " << op;
         if (want != nullptr) {
@@ -149,27 +150,32 @@ TEST(DedupModelTest, MatchesReferenceAcrossCapacitiesAndWrapArounds) {
 
 TEST(DedupModelTest, EmptyReplyAndEmptyIdEdgeCases) {
   DedupCache cache(2);
-  cache.store("a", std::span<const std::uint8_t>{});
+  cache.store(Framing::kXdrFrame, "a", std::span<const std::uint8_t>{});
   bool called = false;
-  EXPECT_TRUE(cache.replay("a", [&](std::span<const std::uint8_t> bytes) {
-    called = true;
-    EXPECT_TRUE(bytes.empty());
-  }));
+  EXPECT_TRUE(
+      cache.replay(Framing::kXdrFrame, "a", [&](std::span<const std::uint8_t> bytes) {
+        called = true;
+        EXPECT_TRUE(bytes.empty());
+      }));
   EXPECT_TRUE(called);
-  EXPECT_FALSE(cache.replay("", [](std::span<const std::uint8_t>) { FAIL(); }));
-  EXPECT_FALSE(cache.replay("missing", [](std::span<const std::uint8_t>) { FAIL(); }));
+  EXPECT_FALSE(
+      cache.replay(Framing::kXdrFrame, "", [](std::span<const std::uint8_t>) { FAIL(); }));
+  EXPECT_FALSE(cache.replay(Framing::kXdrFrame, "missing",
+                            [](std::span<const std::uint8_t>) { FAIL(); }));
   EXPECT_EQ(cache.hits(), 1u);
 }
 
 TEST(DedupModelTest, HugeReplyStorageIsNotRetained) {
   DedupCache cache(4);
   const Bytes huge(1 << 20, 0xAB);
-  cache.store("huge", huge);
+  cache.store(Framing::kXdrFrame, "huge", huge);
   EXPECT_GE(cache.retained_bytes(), huge.size());
   // Four tiny replies cycle the whole ring, one lands in the huge slot.
   const Bytes tiny(16, 0x01);
-  for (int i = 0; i < 4; ++i) cache.store("tiny-" + std::to_string(i), tiny);
-  EXPECT_FALSE(cache.lookup("huge").has_value());
+  for (int i = 0; i < 4; ++i) {
+    cache.store(Framing::kXdrFrame, "tiny-" + std::to_string(i), tiny);
+  }
+  EXPECT_FALSE(cache.lookup(Framing::kXdrFrame, "huge").has_value());
   EXPECT_LE(cache.retained_bytes(), 4 * DedupCache::kRetainFloor);
 }
 
@@ -181,7 +187,7 @@ TEST(DedupModelTest, RetainedBytesStayWithinTwiceTheCachedReplies) {
     // Sizes spread over 16 B .. 128 KiB, like mixed bulk traffic.
     const std::size_t scale = std::size_t{16} << (rng() % 13);
     const std::size_t size = scale + rng() % scale;
-    cache.store("r" + std::to_string(i), Bytes(size, 0x5A));
+    cache.store(Framing::kXdrFrame, "r" + std::to_string(i), Bytes(size, 0x5A));
     live.push_back(size);
     if (live.size() > 8) live.pop_front();
   }

@@ -147,9 +147,9 @@ std::vector<std::uint8_t> bytes_of(std::string_view text) {
 
 TEST(DedupTest, StoreThenLookupHits) {
   DedupCache cache(8);
-  EXPECT_FALSE(cache.lookup("c1").has_value());
-  cache.store("c1", bytes_of("reply-1"));
-  auto hit = cache.lookup("c1");
+  EXPECT_FALSE(cache.lookup(Framing::kXdrFrame, "c1").has_value());
+  cache.store(Framing::kXdrFrame, "c1", bytes_of("reply-1"));
+  auto hit = cache.lookup(Framing::kXdrFrame, "c1");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->size(), 7u);
   EXPECT_EQ(cache.hits(), 1u);
@@ -158,31 +158,31 @@ TEST(DedupTest, StoreThenLookupHits) {
 
 TEST(DedupTest, EmptyIdsAreNeverCached) {
   DedupCache cache(8);
-  cache.store("", bytes_of("x"));
+  cache.store(Framing::kXdrFrame, "", bytes_of("x"));
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup("").has_value());
+  EXPECT_FALSE(cache.lookup(Framing::kXdrFrame, "").has_value());
 }
 
 TEST(DedupTest, DisabledCacheIsTransparent) {
   DedupCache cache(8);
-  cache.store("c1", bytes_of("x"));
+  cache.store(Framing::kXdrFrame, "c1", bytes_of("x"));
   cache.set_enabled(false);
-  EXPECT_FALSE(cache.lookup("c1").has_value());
-  cache.store("c2", bytes_of("y"));
+  EXPECT_FALSE(cache.lookup(Framing::kXdrFrame, "c1").has_value());
+  cache.store(Framing::kXdrFrame, "c2", bytes_of("y"));
   cache.set_enabled(true);
-  EXPECT_TRUE(cache.lookup("c1").has_value());
-  EXPECT_FALSE(cache.lookup("c2").has_value());
+  EXPECT_TRUE(cache.lookup(Framing::kXdrFrame, "c1").has_value());
+  EXPECT_FALSE(cache.lookup(Framing::kXdrFrame, "c2").has_value());
 }
 
 TEST(DedupTest, FifoEviction) {
   DedupCache cache(2);
-  cache.store("a", bytes_of("1"));
-  cache.store("b", bytes_of("2"));
-  cache.store("c", bytes_of("3"));  // evicts "a"
+  cache.store(Framing::kXdrFrame, "a", bytes_of("1"));
+  cache.store(Framing::kXdrFrame, "b", bytes_of("2"));
+  cache.store(Framing::kXdrFrame, "c", bytes_of("3"));  // evicts "a"
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_FALSE(cache.lookup("a").has_value());
-  EXPECT_TRUE(cache.lookup("b").has_value());
-  EXPECT_TRUE(cache.lookup("c").has_value());
+  EXPECT_FALSE(cache.lookup(Framing::kXdrFrame, "a").has_value());
+  EXPECT_TRUE(cache.lookup(Framing::kXdrFrame, "b").has_value());
+  EXPECT_TRUE(cache.lookup(Framing::kXdrFrame, "c").has_value());
 }
 
 // ---- wire format ------------------------------------------------------------
@@ -565,7 +565,10 @@ TEST(SoapHttpServerTest, HandlerMayUnmountItsOwnPathMidDispatch) {
   auto first = channel->invoke("once", {});
   ASSERT_TRUE(first.ok()) << first.error().message();
   EXPECT_EQ(server.mounted_count(), 0u);
-  EXPECT_FALSE(channel->invoke("once", {}).ok());  // 404 now
+  auto unmounted = channel->invoke("once", {});  // 404 now
+  ASSERT_FALSE(unmounted.ok());
+  EXPECT_EQ(unmounted.error().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(unmounted.error().message(), "http: status 404 Not Found");
 }
 
 }  // namespace

@@ -48,9 +48,11 @@ TEST(ResilienceThreadsTest, DedupCacheConcurrentStoreAndLookup) {
       for (int i = 0; i < 2000; ++i) {
         std::string id = "c" + std::to_string(i % 512);
         if (t % 2 == 0) {
-          cache.store(id, std::vector<std::uint8_t>{static_cast<std::uint8_t>(i & 0xff)});
-        } else if (i % 2 == 0 ? cache.lookup(id).has_value()
-                              : cache.replay(id, [](std::span<const std::uint8_t>) {})) {
+          cache.store(Framing::kXdrFrame, id,
+                      std::vector<std::uint8_t>{static_cast<std::uint8_t>(i & 0xff)});
+        } else if (i % 2 == 0 ? cache.lookup(Framing::kXdrFrame, id).has_value()
+                              : cache.replay(Framing::kXdrFrame, id,
+                                             [](std::span<const std::uint8_t>) {})) {
           found.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -390,6 +390,27 @@ TEST_F(BatchRpcTest, BatchChannelAutoFlushesAtMaxBatch) {
   EXPECT_EQ(batch->flushes(), 1u);
 }
 
+TEST_F(BatchRpcTest, MaxBatchAboveTheFrameLimitIsClamped) {
+  // A policy past the server's per-frame call limit must not produce
+  // frames the server refuses whole: the channel flushes at the limit.
+  auto handle = serve_xdr(net_, server_, 9001, service_);
+  ASSERT_TRUE(handle.ok());
+  auto batch = make_batch_channel(
+      make_xdr_channel(net_, client_, *Endpoint::parse("xdr://server:9001")), net_,
+      BatchPolicy{.max_batch = 5000});
+
+  std::vector<BatchChannel::Ticket> tickets;
+  for (int i = 0; i < 5000; ++i) tickets.push_back(batch->enqueue("add", {}));
+  EXPECT_EQ(batch->flushes(), 1u);  // the 4096th call flushed
+  EXPECT_EQ(batch->pending(), 5000 - kMaxBatchCalls);
+  ASSERT_TRUE(batch->flush().ok());
+  for (const BatchChannel::Ticket& ticket : tickets) {
+    auto result = batch->take(ticket);
+    ASSERT_TRUE(result.ok()) << result.error().describe();
+  }
+  EXPECT_EQ(executions_, 5000);
+}
+
 TEST_F(BatchRpcTest, BatchChannelLingerFlushInVirtualTime) {
   auto handle = serve_xdr(net_, server_, 9001, service_);
   ASSERT_TRUE(handle.ok());

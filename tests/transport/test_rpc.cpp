@@ -134,7 +134,10 @@ TEST_F(RpcTest, SoapUnknownPathIs404Fault) {
   auto channel = make_soap_channel(net_, client_, *Endpoint::parse("http://server:8080/nope"),
                                    "urn:test");
   auto r = channel->invoke("greet", {});
-  EXPECT_FALSE(r.ok());
+  ASSERT_FALSE(r.ok());
+  // A replica without the service: kUnavailable, so failover moves on.
+  EXPECT_EQ(r.error().code(), ErrorCode::kUnavailable);
+  EXPECT_EQ(r.error().message(), "soap: http status 404 Not Found");
 }
 
 TEST_F(RpcTest, SoapMountUnmountLifecycle) {
